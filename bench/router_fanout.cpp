@@ -67,7 +67,11 @@ struct Replica {
     for (const std::size_t shard : shards) {
       config.allowed_prefixes.push_back(store::shard_prefix(bank_name, shard));
     }
-    service = std::make_unique<service::SearchService>();
+    // A named config, not the constructor's `= {}` temporary: GCC 12
+    // reports a -Wmaybe-uninitialized false positive in the inlined
+    // destructor of that temporary's tenant map.
+    const service::ServiceConfig service_config;
+    service = std::make_unique<service::SearchService>(service_config);
     server = std::make_unique<net::Server>(*service, config);
     server->start();
   }
@@ -132,7 +136,8 @@ int main() {
   double single_latency = 0.0;
   std::vector<std::vector<std::uint8_t>> reference;
   {
-    service::SearchService service;
+    const service::ServiceConfig service_config;  // see Replica
+    service::SearchService service(service_config);
     net::ServerConfig config;
     config.bank_root = ".";
     net::Server server(service, config);

@@ -191,7 +191,7 @@ double Alignment::identity(std::span<const std::uint8_t> s0,
   for (Op op : ops) {
     switch (op) {
       case Op::kMatch:
-        matches += (s0[i] == s1[j]) ? 1 : 0;
+        if (s0[i] == s1[j]) ++matches;
         ++columns;
         ++i;
         ++j;

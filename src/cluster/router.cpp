@@ -20,6 +20,10 @@ namespace {
 /// even with every worker hedging, connections per replica stay well
 /// under psc_serve's default 64-connection cap.
 constexpr std::size_t kMaxFanoutWorkers = 16;
+/// Idle connections kept per replica: the most a query's fan-out holds
+/// open to one replica at once, so pooling never raises the per-replica
+/// connection bound.
+constexpr std::size_t kMaxPooledPerReplica = 2 * kMaxFanoutWorkers;
 
 using Clock = std::chrono::steady_clock;
 
@@ -89,7 +93,8 @@ Router::Router(RouterConfig config)
           config_.verify_checksums)),
       table_(config_.replicas),
       health_checker_(table_, config_.health),
-      registry_(config_.tenants) {
+      registry_(config_.tenants),
+      idle_(table_.size()) {
   if (config_.bank_prefix.empty()) {
     throw std::invalid_argument("router: bank_prefix must be set");
   }
@@ -153,6 +158,7 @@ std::future<service::ServiceResponse> Router::submit_search(
   } catch (const service::QuotaError& e) {
     promise->set_exception(std::make_exception_ptr(
         net::WireError(quota_error_code(e), e.what())));
+    request.notify_ready();
     return future;
   }
   {
@@ -161,6 +167,7 @@ std::future<service::ServiceResponse> Router::submit_search(
       registry_.cancel(request.tenant.name, request.bank_prefix);
       promise->set_exception(std::make_exception_ptr(net::WireError(
           net::WireErrorCode::kShutdown, "router is stopping")));
+      request.notify_ready();
       return future;
     }
     if (config_.max_active_fanouts > 0 &&
@@ -172,6 +179,7 @@ std::future<service::ServiceResponse> Router::submit_search(
           "router admission: " + std::to_string(active_) +
               " fan-outs already active (cap " +
               std::to_string(config_.max_active_fanouts) + ")")));
+      request.notify_ready();
       return future;
     }
     ++active_;
@@ -211,6 +219,7 @@ std::future<service::ServiceResponse> Router::submit_search(
                          /*success=*/false, 0.0);
       promise->set_exception(std::current_exception());
     }
+    request.notify_ready();
     {
       // Notify under the lock: the destructor destroys drain_cv_ as
       // soon as its wait sees active_ == 0, and the wait cannot return
@@ -464,8 +473,9 @@ service::QueryResult Router::query_shard(
     }
     race->cv.wait(lock, [&] { return race->done || race->outstanding == 0; });
     const bool won = race->done;
-    // Tear every attempt socket down (the winner's is spent anyway):
-    // a loser blocked in recv wakes with a typed error and drains.
+    // Tear every losing attempt socket down (the winner took its own off
+    // the list): a loser blocked in recv wakes with a typed error and
+    // drains, and its socket is never pooled.
     for (const std::shared_ptr<net::Client>& client : race->clients) {
       client->shutdown_now();
     }
@@ -483,6 +493,38 @@ service::QueryResult Router::query_shard(
                                       " attempt round(s): " + last_error);
 }
 
+std::shared_ptr<net::Client> Router::connect_replica(
+    std::size_t replica) const {
+  const ReplicaEndpoint& endpoint = table_.endpoint(replica);
+  net::ClientConfig client_config;
+  client_config.host = endpoint.host;
+  client_config.port = endpoint.port;
+  client_config.timeout_seconds = config_.request_timeout_seconds;
+  return std::make_shared<net::Client>(client_config);
+}
+
+std::shared_ptr<net::Client> Router::take_pooled(std::size_t replica) {
+  std::lock_guard<std::mutex> lock(pool_mutex_);
+  std::vector<std::shared_ptr<net::Client>>& idle = idle_[replica];
+  if (idle.empty()) return nullptr;
+  std::shared_ptr<net::Client> client = std::move(idle.back());
+  idle.pop_back();
+  return client;
+}
+
+void Router::release_client(std::size_t replica,
+                            std::shared_ptr<net::Client> client) {
+  std::lock_guard<std::mutex> lock(pool_mutex_);
+  std::vector<std::shared_ptr<net::Client>>& idle = idle_[replica];
+  if (idle.size() < kMaxPooledPerReplica) idle.push_back(std::move(client));
+}
+
+void Router::drop_pooled(std::size_t replica) {
+  std::vector<std::shared_ptr<net::Client>> stale;
+  std::lock_guard<std::mutex> lock(pool_mutex_);
+  stale.swap(idle_[replica]);
+}
+
 void Router::run_attempt(const std::shared_ptr<Race>& race,
                          std::size_t replica, std::size_t shard,
                          AttemptKind kind, const std::string& query_fasta,
@@ -490,33 +532,73 @@ void Router::run_attempt(const std::shared_ptr<Race>& race,
   const ReplicaEndpoint& endpoint = table_.endpoint(replica);
   table_.attempt_started(replica, kind);
   const auto start = Clock::now();
+  const std::string shard_bank =
+      store::shard_prefix(config_.bank_prefix, shard);
+  // Registers `client` so a decided race can shut it down. When the race
+  // was decided first (while we were connecting) the attempt stands down
+  // instead, releasing its slot in the race.
+  const auto enter_race = [&](const std::shared_ptr<net::Client>& client) {
+    std::lock_guard<std::mutex> lock(race->mutex);
+    if (race->done) {
+      --race->outstanding;
+      race->cv.notify_all();
+      return false;
+    }
+    race->clients.push_back(client);
+    return true;
+  };
+  const auto race_decided = [&] {
+    std::lock_guard<std::mutex> lock(race->mutex);
+    return race->done;
+  };
   try {
-    net::ClientConfig client_config;
-    client_config.host = endpoint.host;
-    client_config.port = endpoint.port;
-    client_config.timeout_seconds = config_.request_timeout_seconds;
-    auto client = std::make_shared<net::Client>(client_config);
-    {
-      std::lock_guard<std::mutex> lock(race->mutex);
-      if (race->done) {  // decided while we were connecting
-        --race->outstanding;
-        race->cv.notify_all();
+    std::shared_ptr<net::Client> client = take_pooled(replica);
+    const bool reused = client != nullptr;
+    if (!reused) client = connect_replica(replica);
+    if (!enter_race(client)) {
+      table_.attempt_cancelled(replica);
+      return;
+    }
+    service::QueryResult result;
+    try {
+      result = client->search(shard_bank, query_fasta, options);
+    } catch (const net::WireError& e) {
+      // A pooled socket whose replica restarted while it sat idle fails
+      // before any reply byte arrives. That is not the replica's fault:
+      // drop its other idle sockets (they are as stale) and try once
+      // more on a fresh connection inside this same attempt. A timeout
+      // or a started reply is the replica's own verdict, and a decided
+      // race means the coordinator shut this socket down.
+      if (!reused || client->reply_started() ||
+          e.code() == net::WireErrorCode::kTimeout || race_decided()) {
+        throw;
+      }
+      drop_pooled(replica);
+      client = connect_replica(replica);
+      if (!enter_race(client)) {
         table_.attempt_cancelled(replica);
         return;
       }
-      race->clients.push_back(client);
+      result = client->search(shard_bank, query_fasta, options);
     }
-    service::QueryResult result = client->search(
-        store::shard_prefix(config_.bank_prefix, shard), query_fasta,
-        options);
     table_.attempt_finished(replica, true, seconds_since(start));
-    std::lock_guard<std::mutex> lock(race->mutex);
-    if (!race->done) {
-      race->done = true;
-      race->result = std::move(result);
+    bool won = false;
+    {
+      std::lock_guard<std::mutex> lock(race->mutex);
+      if (!race->done) {
+        race->done = true;
+        race->result = std::move(result);
+        // Out of the race's list, so the coordinator's teardown of the
+        // losers never touches the socket that goes back to the pool.
+        std::erase(race->clients, client);
+        won = true;
+      }
+      --race->outstanding;
+      race->cv.notify_all();
     }
-    --race->outstanding;
-    race->cv.notify_all();
+    // Only a clean winning reply leaves a socket fit for reuse; a loser's
+    // may already be shut down, and it is dropped with the race.
+    if (won) release_client(replica, std::move(client));
   } catch (const net::WireError& e) {
     bool cancelled = false;
     {

@@ -18,7 +18,11 @@
 // spot); a straggling attempt is hedged with a duplicate to another
 // replica after hedge_delay, first valid reply wins and the loser's
 // socket is shut down from the winner's side so its thread drains
-// immediately; a shard with no live replica fails the whole query with
+// immediately. Legs run on pooled per-replica connections: only the
+// winner of a clean reply returns its socket to the pool, and a pooled
+// socket found dead before any reply byte (the replica restarted) is
+// retried once on a fresh connection without blaming the replica. A
+// shard with no live replica fails the whole query with
 // WireError(kShardUnavailable) -- a typed error frame at the wire
 // boundary, never a hang. Per-replica traffic counters surface through
 // stats_snapshot() as ServiceStats::replicas (codec v3).
@@ -47,6 +51,10 @@
 #include "service/backend.hpp"
 #include "service/tenant.hpp"
 #include "store/shard_store.hpp"
+
+namespace psc::net {
+class Client;
+}  // namespace psc::net
 
 namespace psc::cluster {
 
@@ -142,6 +150,17 @@ class Router : public service::SearchBackend {
                    const std::string& query_fasta,
                    const service::QueryOptions& options);
 
+  /// A fresh connection to `replica`; throws WireError(kUnreachable).
+  std::shared_ptr<net::Client> connect_replica(std::size_t replica) const;
+  /// An idle pooled connection to `replica`, or null when none is idle.
+  std::shared_ptr<net::Client> take_pooled(std::size_t replica);
+  /// Returns a connection that just delivered a clean, winning reply;
+  /// beyond the per-replica cap it is closed instead.
+  void release_client(std::size_t replica,
+                      std::shared_ptr<net::Client> client);
+  /// Closes every idle connection to `replica` (found stale).
+  void drop_pooled(std::size_t replica);
+
   RouterConfig config_;
   /// The manifest generation fan-outs route by. Guarded by
   /// manifest_mutex_ once the health checker is running: run_fanout
@@ -153,6 +172,11 @@ class Router : public service::SearchBackend {
   /// Per-tenant accounting and quota gates (own internal mutex; safe to
   /// call under drain_mutex_ or stats_mutex_, never the reverse).
   service::TenantRegistry registry_;
+
+  /// Idle replica connections, indexed like table_, reused by later
+  /// legs instead of a connect (and a TIME_WAIT socket) per leg.
+  std::mutex pool_mutex_;
+  std::vector<std::vector<std::shared_ptr<net::Client>>> idle_;
 
   mutable std::mutex stats_mutex_;
   service::ServiceStats stats_;

@@ -90,6 +90,7 @@ Frame Client::read_frame() {
     std::uint8_t buffer[64 * 1024];
     const ssize_t n = ::recv(fd_, buffer, sizeof(buffer), 0);
     if (n > 0) {
+      reply_started_ = true;
       reader_.feed({buffer, static_cast<std::size_t>(n)});
       continue;
     }
@@ -109,6 +110,7 @@ Frame Client::read_frame() {
 
 Frame Client::round_trip(const std::vector<std::uint8_t>& request,
                          MessageType expected) {
+  reply_started_ = false;
   send_all(request);
   Frame frame = read_frame();
   if (frame.type == static_cast<std::uint16_t>(MessageType::kError)) {

@@ -80,6 +80,12 @@ class Client {
   /// unusable afterwards.
   void shutdown_now() noexcept;
 
+  /// True once any byte of a reply to the latest request has arrived.
+  /// A pooled connection that fails with this still false was dead
+  /// before the request (its server restarted while it sat idle), which
+  /// is how the router tells a stale socket from a failing replica.
+  bool reply_started() const { return reply_started_; }
+
  private:
   /// Sends `request` and blocks for one frame. An Error frame throws
   /// WireError; a frame of any type other than `expected` throws
@@ -93,6 +99,7 @@ class Client {
   int fd_ = -1;
   FrameReader reader_;
   bool hello_done_ = false;  ///< session vintage negotiated via kHello
+  bool reply_started_ = false;
 };
 
 }  // namespace psc::net

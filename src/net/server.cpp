@@ -69,6 +69,44 @@ WireErrorCode quota_error_code(const service::QuotaError& error) {
 
 }  // namespace
 
+/// The loop's self-pipe. The server and every completion hook it
+/// installs own it together, so the fds close with the last owner,
+/// never under a hook that is still running.
+class Server::Waker {
+ public:
+  Waker() {
+    if (::pipe(fds_) != 0) {
+      throw std::system_error(errno, std::generic_category(), "pipe");
+    }
+    set_nonblocking(fds_[0]);
+    set_nonblocking(fds_[1]);
+  }
+  ~Waker() {
+    ::close(fds_[0]);
+    ::close(fds_[1]);
+  }
+  Waker(const Waker&) = delete;
+  Waker& operator=(const Waker&) = delete;
+
+  int read_fd() const { return fds_[0]; }
+
+  /// Safe from any thread. A full pipe (EAGAIN) already holds a pending
+  /// wakeup, so the byte that did not fit is not needed.
+  void notify() const noexcept {
+    const char byte = 0;
+    [[maybe_unused]] const ssize_t n = ::write(fds_[1], &byte, 1);
+  }
+
+  void drain() const noexcept {
+    std::uint8_t buffer[64];
+    while (::read(fds_[0], buffer, sizeof(buffer)) > 0) {
+    }
+  }
+
+ private:
+  int fds_[2] = {-1, -1};
+};
+
 /// Per-connection state. Responses (immediate Pong/Stats/Error frames
 /// and deferred Search futures alike) pass through one ordered queue, so
 /// a pipelining client can pair replies with requests by position.
@@ -138,17 +176,17 @@ void Server::start() {
   port_ = ntohs(bound.sin_port);
   set_nonblocking(listen_fd_);
 
-  if (::pipe(wake_fds_) != 0) {
-    const int saved = errno;
+  try {
+    waker_ = std::make_shared<Waker>();
+  } catch (...) {
     ::close(listen_fd_);
     listen_fd_ = -1;
-    throw std::system_error(saved, std::generic_category(), "pipe");
+    throw;
   }
-  set_nonblocking(wake_fds_[0]);
-  set_nonblocking(wake_fds_[1]);
 
   stop_.store(false);
   poll_wakeups_.store(0);
+  connections_accepted_.store(0);
   started_ = true;
   thread_ = std::thread([this] { loop(); });
 }
@@ -158,19 +196,15 @@ void Server::stop() {
   stop_.store(true);
   // Wake a loop blocked in poll with nothing pending; without this the
   // join would wait for traffic that may never come.
-  const char byte = 0;
-  [[maybe_unused]] const ssize_t n = ::write(wake_fds_[1], &byte, 1);
+  waker_->notify();
   if (thread_.joinable()) thread_.join();
   if (listen_fd_ >= 0) {
     ::close(listen_fd_);
     listen_fd_ = -1;
   }
-  for (int& fd : wake_fds_) {
-    if (fd >= 0) {
-      ::close(fd);
-      fd = -1;
-    }
-  }
+  // Hooks of searches still running keep their own reference; the pipe
+  // closes when the last of them is gone.
+  waker_.reset();
   started_ = false;
 }
 
@@ -294,6 +328,7 @@ void Server::handle_frame(Connection& connection, const Frame& frame) {
           config_.bank_root + "/" + request.bank_prefix;
       submission.options = request.options;
       submission.tenant.name = connection.tenant;
+      submission.on_ready = [waker = waker_] { waker->notify(); };
       try {
         std::istringstream fasta(request.query_fasta);
         submission.query =
@@ -467,32 +502,26 @@ void Server::loop() {
       fds.push_back(entry);
     }
     pollfd waker{};
-    waker.fd = wake_fds_[0];
+    waker.fd = waker_->read_fd();
     waker.events = POLLIN;
     fds.push_back(waker);
 
-    // The timeout comes from what the loop is actually waiting on.
-    // Deferred search futures are fulfilled on the service's worker
-    // thread with no fd to poll, so while any are outstanding a short
-    // tick doubles as their completion poll. Otherwise the only timed
-    // event is the nearest mid-frame read deadline; with none armed the
-    // loop blocks indefinitely (stop() wakes it through the self-pipe)
-    // instead of spinning 100x/s while idle.
+    // Nothing here is polled on a timer. A deferred search signals the
+    // waker from its completion hook the moment its future is ready,
+    // and stop() signals it too, so the only timed event is the nearest
+    // mid-frame read deadline; with none armed the loop blocks until a
+    // socket or the waker has something for it.
     int timeout_ms = -1;
-    bool any_deferred = false;
     bool have_deadline = false;
     Clock::time_point nearest{};
     for (const Connection& connection : connections) {
-      if (connection.deferred > 0) any_deferred = true;
       if (connection.deadline_armed &&
           (!have_deadline || connection.deadline < nearest)) {
         have_deadline = true;
         nearest = connection.deadline;
       }
     }
-    if (any_deferred) {
-      timeout_ms = 10;
-    } else if (have_deadline) {
+    if (have_deadline) {
       const auto wait = std::chrono::ceil<std::chrono::milliseconds>(
           nearest - Clock::now());
       const long long ms = wait.count();
@@ -506,16 +535,16 @@ void Server::loop() {
     poll_wakeups_.fetch_add(1, std::memory_order_relaxed);
     if (rc < 0 && errno != EINTR) break;
     if (stop_.load()) break;
-    if ((fds.back().revents & POLLIN) != 0) {
-      std::uint8_t drain[64];
-      while (::read(wake_fds_[0], drain, sizeof(drain)) > 0) {
-      }
-    }
+    // Drained before the connections are scanned: a completion that
+    // signals after this point leaves a byte for the next poll, so no
+    // ready future is ever missed.
+    if ((fds.back().revents & POLLIN) != 0) waker_->drain();
 
     if ((fds[0].revents & POLLIN) != 0) {
       for (;;) {
         const int client = ::accept(listen_fd_, nullptr, nullptr);
         if (client < 0) break;
+        connections_accepted_.fetch_add(1, std::memory_order_relaxed);
         if (connections.size() >= config_.max_connections) {
           ::close(client);
           continue;

@@ -20,6 +20,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -77,17 +78,29 @@ class Server {
   /// The bound port (useful with config.port == 0). Valid after start().
   std::uint16_t port() const { return port_; }
 
-  /// Times the loop has returned from poll(2) since start(). An idle
-  /// server blocks in poll indefinitely (stop() wakes it through a
-  /// self-pipe), so this gauge stays flat with no traffic -- the
-  /// regression handle for the historical fixed 10 ms tick that woke
-  /// the process 100x/s doing nothing.
+  /// Times the loop has returned from poll(2) since start(). The loop
+  /// wakes only for socket readiness, a finished search (its completion
+  /// hook signals the waker), an armed read deadline, or stop(); there
+  /// is no timer. So this gauge stays flat while idle and grows by a
+  /// handful per request, however long the search runs -- the
+  /// regression handle for the historical 10 ms tick, which woke the
+  /// loop 100x/s while idle or while any search was outstanding.
   std::uint64_t poll_wakeups() const { return poll_wakeups_.load(); }
+
+  /// TCP connections accepted since start(), including any closed at
+  /// once for exceeding max_connections. A regression handle like
+  /// poll_wakeups(): a client that reuses its connections (the router's
+  /// pooled legs) keeps this near its connection count, not its
+  /// request count.
+  std::uint64_t connections_accepted() const {
+    return connections_accepted_.load();
+  }
 
   const ServerConfig& config() const { return config_; }
 
  private:
   struct Connection;
+  class Waker;
 
   void loop();
   void handle_frame(Connection& connection, const Frame& frame);
@@ -98,12 +111,16 @@ class Server {
   service::SearchBackend* backend_;
   ServerConfig config_;
   int listen_fd_ = -1;
-  /// Self-pipe: stop() writes one byte so a poll blocked with no
-  /// deadline pending wakes immediately instead of never.
-  int wake_fds_[2] = {-1, -1};
+  /// Self-pipe the loop polls beside its sockets: every deferred
+  /// search's completion hook signals it, and so does stop(). Shared
+  /// with those hooks, so a completion landing after stop() (abandoned
+  /// service work, a router fan-out still finishing) writes into a pipe
+  /// that is still open rather than a closed or recycled fd.
+  std::shared_ptr<Waker> waker_;
   std::uint16_t port_ = 0;
   std::atomic<bool> stop_{false};
   std::atomic<std::uint64_t> poll_wakeups_{0};
+  std::atomic<std::uint64_t> connections_accepted_{0};
   bool started_ = false;
   std::thread thread_;
 };

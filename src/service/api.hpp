@@ -14,6 +14,7 @@
 
 #include <array>
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <string>
 #include <utility>
@@ -134,6 +135,19 @@ struct ServiceRequest {
   std::string bank_prefix;
   QueryOptions options;
   TenantContext tenant;
+  /// Completion hook. Every SearchBackend calls it exactly once, on
+  /// whichever thread readied the future, right after the future for
+  /// this request became ready (value or exception, synchronous
+  /// rejections included). net::Server sets it to wake its poll loop,
+  /// which is how a finished search reaches the socket without a timer.
+  /// It must be cheap and must not throw. Like TenantContext it is
+  /// delivery, not results, so it never enters CoalesceKey.
+  std::function<void()> on_ready;
+
+  /// Fires on_ready when one is set.
+  void notify_ready() const {
+    if (on_ready) on_ready();
+  }
 };
 
 /// What one submitted query bank gets back.

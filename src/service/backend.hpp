@@ -20,7 +20,9 @@ class SearchBackend {
 
   /// Enqueues one request; failures surface as exceptions on the future
   /// (store::StoreError for store problems, net::WireError for typed
-  /// cluster failures such as an uncovered shard).
+  /// cluster failures such as an uncovered shard). Once the returned
+  /// future is ready, the implementation calls request.notify_ready()
+  /// exactly once; net::Server relies on it to learn of completions.
   virtual std::future<ServiceResponse> submit_search(
       ServiceRequest request) = 0;
 

@@ -456,7 +456,8 @@ void SearchService::process_group(const std::string& prefix,
                                   std::vector<Request*>& group) {
   // Stats are published before any promise is fulfilled, so a caller
   // waking from future.get() always observes counters that include its
-  // own query.
+  // own query. Every fulfilment is followed by the request's completion
+  // hook, so an event-driven caller (net::Server) learns of it at once.
   const auto fail_all = [&](std::exception_ptr error) {
     {
       std::lock_guard<std::mutex> lock(mutex_);
@@ -466,6 +467,7 @@ void SearchService::process_group(const std::string& prefix,
       registry_.complete(request->request.tenant.name, prefix,
                          /*success=*/false, 0.0);
       request->promise.set_exception(error);
+      request->request.notify_ready();
     }
   };
 
@@ -572,6 +574,7 @@ void SearchService::process_group(const std::string& prefix,
     registry_.complete(group[i]->request.tenant.name, prefix,
                        /*success=*/true, replies[i].latency_seconds);
     group[i]->promise.set_value(std::move(replies[i]));
+    group[i]->request.notify_ready();
   }
 }
 

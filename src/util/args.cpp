@@ -47,7 +47,9 @@ bool ArgParser::parse(int argc, const char* const* argv) {
       return false;
     }
     if (it->second.is_flag) {
-      values_[key] = "1";
+      // Move-assigned from a temporary: GCC 12's -Wrestrict misfires on
+      // std::string::operator=(const char*) here.
+      values_[key] = std::string("1");
       continue;
     }
     if (!has_value) {

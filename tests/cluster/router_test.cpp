@@ -144,6 +144,16 @@ struct Replica {
   }
 
   std::uint16_t port() const { return server->port(); }
+
+  /// Stops the server (closing every connection it holds) and starts a
+  /// new one on the same port: a replica process restarting.
+  void restart() {
+    net::ServerConfig config = server->config();
+    config.port = server->port();
+    server.reset();
+    server = std::make_unique<net::Server>(*service, config);
+    server->start();
+  }
 };
 
 /// An endpoint that is guaranteed dead: binds an ephemeral port to learn
@@ -715,6 +725,114 @@ TEST(RouterTest, RefreshRejectsUncoveredTailAndNonExtension) {
     std::remove((pair + ".pscidx").c_str());
   }
   (void)rebuilt;
+}
+
+TEST(RouterTest, SequentialQueriesReusePooledConnections) {
+  const ClusterWorkload workload(73, "cluster_pool", 700);
+  ASSERT_GE(workload.shard_count, 2u);
+  const service::QueryOptions options;
+  const std::vector<std::uint8_t> reference =
+      workload.reference_bytes(options);
+
+  Replica replica_a(workload.name, workload.all_shards());
+  Replica replica_b(workload.name, workload.all_shards());
+  RouterConfig config = base_config(workload);
+  config.hedge_delay_seconds = 0.0;  // one leg per shard, no duplicates
+  config.replicas = {endpoint_for(replica_a.port(), workload.all_shards()),
+                     endpoint_for(replica_b.port(), workload.all_shards())};
+  Router router(config);
+
+  constexpr int kQueries = 50;
+  for (int q = 0; q < kQueries; ++q) {
+    const service::QueryResult merged =
+        router.submit_search(request_for(workload, options)).get();
+    ASSERT_EQ(core::encode_matches(merged.matches), reference) << "query " << q;
+  }
+
+  // A connection per leg would be kQueries x shards accepts. Pooled legs
+  // need at most one connection per concurrent leg per replica, plus
+  // the startup health probe of each replica.
+  const std::uint64_t accepted = replica_a.server->connections_accepted() +
+                                 replica_b.server->connections_accepted();
+  EXPECT_LE(accepted, workload.shard_count * 2 + 2);
+  const service::ServiceStats stats = router.stats_snapshot();
+  for (const service::ReplicaStats& row : stats.replicas) {
+    EXPECT_EQ(row.failures, 0u);
+    EXPECT_EQ(row.retries, 0u);
+  }
+}
+
+TEST(RouterTest, ReplicaRestartUnderPooledSocketsIsNotAFailure) {
+  const ClusterWorkload workload(74, "cluster_restart", 700);
+  ASSERT_GE(workload.shard_count, 2u);
+  service::QueryOptions options;
+  options.with_traceback = true;
+  const std::vector<std::uint8_t> reference =
+      workload.reference_bytes(options);
+
+  Replica replica(workload.name, workload.all_shards());
+  RouterConfig config = base_config(workload);
+  config.hedge_delay_seconds = 0.0;
+  config.replicas = {endpoint_for(replica.port(), workload.all_shards())};
+  Router router(config);
+
+  const service::QueryResult first =
+      router.submit_search(request_for(workload, options)).get();
+  EXPECT_EQ(core::encode_matches(first.matches), reference);
+
+  // Every pooled socket now points at a server that is gone. Each leg
+  // finds its socket dead before any reply byte and redoes the request
+  // on a fresh connection: same bytes, no failure, replica stays up.
+  replica.restart();
+  const service::QueryResult second =
+      router.submit_search(request_for(workload, options)).get();
+  EXPECT_EQ(core::encode_matches(second.matches), reference);
+
+  const service::ServiceStats stats = router.stats_snapshot();
+  ASSERT_EQ(stats.replicas.size(), 1u);
+  EXPECT_TRUE(stats.replicas[0].up);
+  EXPECT_EQ(stats.replicas[0].failures, 0u);
+  EXPECT_EQ(stats.replicas[0].benched, 0u);
+  EXPECT_EQ(stats.replicas[0].inflight, 0u);
+}
+
+TEST(RouterTest, HedgeLoserSocketIsNeverPooled) {
+  const ClusterWorkload workload(75, "cluster_hedge_twice", 0);
+  ASSERT_EQ(workload.shard_count, 1u);
+  service::QueryOptions options;
+  options.with_traceback = true;
+  const std::vector<std::uint8_t> reference =
+      workload.reference_bytes(options);
+
+  // The hedge race of HedgeOvertakesAStallingReplica, run twice on one
+  // router: the second race starts with the first one's sockets in the
+  // pool. A shut-down loser handed out again would fail the primary
+  // instead of stalling it; only the winner's socket may come back.
+  StallingReplica staller;
+  Replica replica(workload.name, {0});
+  RouterConfig config = base_config(workload);
+  config.hedge_delay_seconds = 0.05;
+  config.replicas = {endpoint_for(staller.port(), {0}),
+                     endpoint_for(replica.port(), {0})};
+  Router router(config);
+
+  for (int round = 0; round < 2; ++round) {
+    const service::QueryResult merged =
+        router.submit_search(request_for(workload, options)).get();
+    EXPECT_EQ(core::encode_matches(merged.matches), reference)
+        << "round " << round;
+  }
+
+  const service::ServiceStats stats = router.stats_snapshot();
+  ASSERT_EQ(stats.replicas.size(), 2u);
+  EXPECT_EQ(stats.replicas[0].requests, 2u);  // both primaries stalled
+  EXPECT_EQ(stats.replicas[1].hedges, 2u);    // both hedges won
+  EXPECT_EQ(stats.replicas[0].failures, 0u);
+  EXPECT_EQ(stats.replicas[1].failures, 0u);
+  EXPECT_EQ(stats.replicas[0].inflight, 0u);
+  EXPECT_TRUE(stats.replicas[0].up);
+  // The winner's socket was reused for the second hedge.
+  EXPECT_EQ(replica.server->connections_accepted(), 2u);  // probe + 1 leg
 }
 
 }  // namespace

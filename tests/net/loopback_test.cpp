@@ -11,11 +11,15 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <chrono>
+#include <condition_variable>
 #include <cstdio>
 #include <cstring>
 #include <functional>
+#include <future>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -556,6 +560,160 @@ TEST_F(LoopbackTest, StalledWriterDeadlineIsMetWithoutSpinning) {
   // Accept + half-frame + deadline wakeup + close bookkeeping: single
   // digits. The historical tick would have burned ~25 wakeups waiting.
   EXPECT_LE(server_->poll_wakeups() - before, 10u);
+}
+
+/// A backend whose searches finish on a thread of their own, `delay`
+/// after submit and only while the gate is open (it starts open; hold()
+/// closes it, release() opens it): the shape of a slow replica leg
+/// without any pipeline work. Each search answers an empty QueryResult
+/// and then fires the request's hook, as every SearchBackend must.
+class GatedBackend : public service::SearchBackend {
+ public:
+  explicit GatedBackend(std::chrono::milliseconds delay = {}) : delay_(delay) {}
+  ~GatedBackend() override {
+    release();
+    join_all();
+  }
+
+  std::future<service::ServiceResponse> submit_search(
+      service::ServiceRequest request) override {
+    auto promise = std::make_shared<std::promise<service::ServiceResponse>>();
+    std::future<service::ServiceResponse> future = promise->get_future();
+    std::lock_guard<std::mutex> lock(mutex_);
+    ++submitted_;
+    cv_.notify_all();
+    threads_.emplace_back([this, promise, request = std::move(request)] {
+      std::this_thread::sleep_for(delay_);
+      {
+        std::unique_lock<std::mutex> gate(mutex_);
+        cv_.wait(gate, [this] { return released_; });
+      }
+      service::QueryResult result;
+      result.batch_size = 1;
+      promise->set_value(std::move(result));
+      request.notify_ready();
+    });
+    return future;
+  }
+  service::ServiceStats stats_snapshot() const override { return {}; }
+  std::uint64_t refresh_manifest(const std::string&) override { return 0; }
+
+  void release() {
+    std::lock_guard<std::mutex> lock(mutex_);
+    released_ = true;
+    cv_.notify_all();
+  }
+  void hold() {
+    std::lock_guard<std::mutex> lock(mutex_);
+    released_ = false;
+  }
+  void wait_submitted(std::size_t count) {
+    std::unique_lock<std::mutex> lock(mutex_);
+    cv_.wait(lock, [&] { return submitted_ >= count; });
+  }
+  /// Joins every search thread (all must have been released).
+  void join_all() {
+    std::vector<std::thread> threads;
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      threads.swap(threads_);
+    }
+    for (std::thread& thread : threads) thread.join();
+  }
+
+ private:
+  std::chrono::milliseconds delay_;
+  std::mutex mutex_;
+  std::condition_variable cv_;
+  bool released_ = true;
+  std::size_t submitted_ = 0;
+  std::vector<std::thread> threads_;
+};
+
+std::vector<std::uint8_t> search_frame() {
+  SearchRequestFrame request;
+  request.bank_prefix = "gated";
+  request.query_fasta = ">q\nMKVLAAGIVG\n";
+  return encode_frame(MessageType::kSearch, encode_search_request(request));
+}
+
+TEST(ServerWakeTest, SlowSearchIsDeliveredOnCompletionWithoutTicking) {
+  // The search finishes 300 ms after submit on a thread the server knows
+  // nothing about. Its completion hook must wake the loop at once; the
+  // wait itself costs a handful of wakeups, where the old 10 ms
+  // completion tick cost ~30.
+  GatedBackend backend(std::chrono::milliseconds(300));
+  ServerConfig config;
+  config.bank_root = ::testing::TempDir();
+  Server server(backend, config);
+  server.start();
+  RawConnection raw(server.port());
+
+  const std::uint64_t before = server.poll_wakeups();
+  const auto sent_at = std::chrono::steady_clock::now();
+  raw.send_bytes(search_frame());
+  const auto reply = raw.read_frame();
+  const double elapsed =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - sent_at)
+          .count();
+  ASSERT_TRUE(reply.has_value());
+  EXPECT_EQ(reply->type,
+            static_cast<std::uint16_t>(MessageType::kSearchResult));
+  EXPECT_EQ(service::decode_query_result(reply->payload).batch_size, 1u);
+  EXPECT_GE(elapsed, 0.29);
+  EXPECT_LE(elapsed, 0.60);
+  // Accept + request + completion, plus strays for scheduling noise.
+  EXPECT_LE(server.poll_wakeups() - before, 8u);
+  server.stop();
+}
+
+TEST(ServerWakeTest, CompletionAfterStopNeverTouchesARecycledFd) {
+  // A search still running when the server stops completes afterwards
+  // and fires its hook. The hook owns its share of the waker, so the
+  // write lands in a pipe that is still open -- not in whatever the
+  // process opened on the freed descriptor numbers meanwhile.
+  GatedBackend backend;
+  backend.hold();
+  ServerConfig config;
+  config.bank_root = ::testing::TempDir();
+  Server server(backend, config);
+  server.start();
+  {
+    RawConnection raw(server.port());
+    raw.send_bytes(search_frame());
+    backend.wait_submitted(1);
+    server.stop();
+  }
+  // Grab every descriptor the stop freed (listener, connections and,
+  // were it closed, the waker): new descriptors take the lowest free
+  // numbers, so a few socket pairs cover them all. Either end of a pair
+  // is writable, and a byte written to one shows up on the other.
+  std::vector<std::array<int, 2>> recycled(8);
+  for (std::array<int, 2>& fds : recycled) {
+    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds.data()), 0);
+  }
+
+  backend.release();
+  backend.join_all();
+  for (const std::array<int, 2>& fds : recycled) {
+    for (const int fd : fds) {
+      std::uint8_t byte = 0;
+      EXPECT_EQ(::recv(fd, &byte, 1, MSG_DONTWAIT), -1)
+          << "hook wrote into a reused fd";
+    }
+    ::close(fds[0]);
+    ::close(fds[1]);
+  }
+
+  // The stopped server is reusable, and the restarted loop is fed by a
+  // fresh waker.
+  server.start();
+  RawConnection raw(server.port());
+  raw.send_bytes(search_frame());
+  const auto reply = raw.read_frame();
+  ASSERT_TRUE(reply.has_value());
+  EXPECT_EQ(reply->type,
+            static_cast<std::uint16_t>(MessageType::kSearchResult));
 }
 
 TEST_F(LoopbackTest, ClientsWithDifferentOptionsNeverShareAPass) {

@@ -132,9 +132,9 @@ int main(int argc, char** argv) {
 
   net::ServerConfig server_config;
   server_config.bind_address = args.get("bind");
-  // The router serves exactly one bank name; the poll loop rejects
-  // everything else with kBankNotFound before the fan-out starts.
-  server_config.bank_root = ".";
+  // The router serves exactly one bank name under the default bank
+  // root "."; the poll loop rejects everything else with kBankNotFound
+  // before the fan-out starts.
   server_config.allowed_prefixes = {router_config.bank_prefix};
   const std::int64_t port = args.get_int("port");
   const std::int64_t payload_mb = args.get_int("max-payload-mb");
