@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Tier-1 verification: configure + build + full ctest + the loopback
 # integration check (psc_serve/psc_client round-trip), then rebuild the
-# align kernels plus the store/service/net layers under ASan/UBSan
-# (PSC_ENABLE_SANITIZERS) and rerun their tests, so the SIMD kernel's
+# index windows, the align kernels plus the store/service/net layers
+# under ASan/UBSan (PSC_ENABLE_SANITIZERS) and rerun their tests, so the
+# clipped window copies and striped transpose, the SIMD kernel's
 # lane loads/stores, the mmap-backed index views (including the
 # corrupted-file rejection paths), and the wire-frame parsers (including
 # the malformed-frame rejection paths) are memory-checked.
@@ -38,16 +39,16 @@ scripts/tenant_check.sh build
 echo "== tier 1: live-ingest check (append+refresh vs full rebuild) =="
 scripts/ingest_check.sh build
 
-echo "== sanitizers: align/core/rasc/store/service/net/cluster tests under ASan/UBSan =="
+echo "== sanitizers: index/align/core/rasc/store/service/net/cluster tests under ASan/UBSan =="
 cmake -B build-asan -S . \
   -DPSC_ENABLE_SANITIZERS=ON \
   -DPSC_BUILD_BENCH=OFF \
   -DPSC_BUILD_EXAMPLES=OFF >/dev/null
-cmake --build build-asan -j "$jobs" --target align_test core_test \
+cmake --build build-asan -j "$jobs" --target index_test align_test core_test \
   rasc_test store_test service_test net_test cluster_test
 ASAN_OPTIONS=detect_leaks=0 UBSAN_OPTIONS=halt_on_error=1 \
   ctest --test-dir build-asan --output-on-failure \
-  -R '^(align|core|rasc|store|service|net|cluster)_test$'
+  -R '^(index|align|core|rasc|store|service|net|cluster)_test$'
 
 echo "== sanitizers: board cache + scheduler focused run under ASan =="
 # The board cache is shared mutable state across worker passes and the

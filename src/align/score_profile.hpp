@@ -18,7 +18,9 @@
 // instead of a memory gather.
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -38,9 +40,11 @@ class ScoreProfile {
   /// fail, and those fall back to the scalar kernels).
   static bool representable(const bio::SubstitutionMatrix& matrix) noexcept;
 
-  /// Rebuilds the profile for `window` (reuses storage across calls).
-  /// Requires representable(matrix); residues beyond the alphabet clamp to
-  /// X, matching SubstitutionMatrix::score.
+  /// Rebuilds the profile for `window` (reuses storage across calls):
+  /// one 32-byte row copy per position from a padded row table that is
+  /// rebuilt only when the matrix's scores change. Requires
+  /// representable(matrix); residues beyond the alphabet clamp to X,
+  /// matching SubstitutionMatrix::score.
   void build(std::span<const std::uint8_t> window,
              const bio::SubstitutionMatrix& matrix);
 
@@ -54,8 +58,16 @@ class ScoreProfile {
   const std::vector<std::int8_t>& cells() const noexcept { return cells_; }
 
  private:
+  using MatrixCells = std::array<bio::SubstitutionMatrix::Score,
+                                 bio::kProteinAlphabetSize *
+                                     bio::kProteinAlphabetSize>;
+
   std::size_t length_ = 0;
   std::vector<std::int8_t> cells_;
+  /// The matrix the row table was built from (empty until the first build).
+  std::optional<MatrixCells> table_matrix_;
+  /// Padded row of every alphabet code: row_table_[a * kStride + c].
+  std::array<std::int8_t, bio::kProteinAlphabetSize * kStride> row_table_{};
 };
 
 }  // namespace psc::align

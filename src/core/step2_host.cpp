@@ -6,7 +6,6 @@
 #include "align/ungapped.hpp"
 #include "index/neighborhood.hpp"
 #include "util/executor.hpp"
-#include "util/executor.hpp"
 
 namespace psc::core {
 
@@ -44,29 +43,31 @@ std::uint64_t process_key(
   const auto list1 = table1.occurrences(key);
   if (list0.empty() || list1.empty()) return 0;
 
-  index::extract_windows(bank0, list0, shape, scratch.batch0);
-  index::extract_windows(bank1, list1, shape, scratch.batch1);
-
-  // One IL0 window against the whole IL1 batch per kernel invocation --
-  // the software mirror of a PE's duty in the array. The kernels agree
-  // bit-for-bit (enforced by resolve_ungapped_kernel and the align
-  // property tests), so the hit set is independent of the choice.
-  const index::WindowBatch& batch0 = scratch.batch0;
-  const index::WindowBatch& batch1 = scratch.batch1;
-  std::vector<int>& scores = scratch.scores;
-  // The striped transpose and per-IL0 profile build only pay off once the
-  // IL1 list fills a couple of lane groups; below that the blocked kernel
-  // wins, and since the kernels agree bit-for-bit the per-key switch
-  // cannot change the hit set.
+  // The striped image and per-IL0 profile build only pay off once the IL1
+  // list fills a couple of lane groups; below that the blocked kernel
+  // wins, and since the kernels agree bit-for-bit (enforced by
+  // resolve_ungapped_kernel and the align property tests) the per-key
+  // switch cannot change the hit set. SIMD keys stripe IL1 straight from
+  // the bank; the others score a flat IL1 batch.
   constexpr std::size_t kSimdMinBatch = 2 * index::StripedWindows::kLaneWidth;
   align::UngappedKernel key_kernel = kernel;
   if (kernel == align::UngappedKernel::kSimd) {
-    if (batch1.size() >= kSimdMinBatch) {
-      scratch.striped1.assign(batch1);
+    if (list1.size() >= kSimdMinBatch) {
+      scratch.striped1.assign(bank1, list1, shape);
     } else {
       key_kernel = align::UngappedKernel::kBlocked;
     }
   }
+  if (key_kernel != align::UngappedKernel::kSimd) {
+    index::extract_windows(bank1, list1, shape, scratch.batch1);
+  }
+  index::extract_windows(bank0, list0, shape, scratch.batch0);
+
+  // One IL0 window against the whole IL1 list per kernel invocation --
+  // the software mirror of a PE's duty in the array.
+  const index::WindowBatch& batch0 = scratch.batch0;
+  const index::WindowBatch& batch1 = scratch.batch1;
+  std::vector<int>& scores = scratch.scores;
   for (std::size_t i0 = 0; i0 < batch0.size(); ++i0) {
     switch (key_kernel) {
       case align::UngappedKernel::kSimd:
@@ -85,8 +86,8 @@ std::uint64_t process_key(
     }
     for (std::size_t i1 = 0; i1 < scores.size(); ++i1) {
       if (scores[i1] >= threshold) {
-        hits.push_back(align::SeedPairHit{batch0.source(i0),
-                                          batch1.source(i1), scores[i1]});
+        hits.push_back(
+            align::SeedPairHit{list0[i0], list1[i1], scores[i1]});
       }
     }
   }

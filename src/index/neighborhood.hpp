@@ -57,6 +57,10 @@ class WindowBatch {
               const WindowShape& shape);
 
  private:
+  friend void extract_windows(const bio::SequenceBank& bank,
+                              std::span<const Occurrence> list,
+                              const WindowShape& shape, WindowBatch& out);
+
   std::size_t window_length_;
   std::vector<std::uint8_t> residues_;
   std::vector<Occurrence> sources_;
@@ -68,8 +72,8 @@ void extract_windows(const bio::SequenceBank& bank,
                      std::span<const Occurrence> list,
                      const WindowShape& shape, WindowBatch& out);
 
-/// A WindowBatch transposed into striped (position-major) order for the
-/// SIMD many-vs-one kernel: residue of window i at position k lives at
+/// The windows of an occurrence list in striped (position-major) order for
+/// the SIMD many-vs-one kernel: residue of window i at position k lives at
 /// position(k)[i], so the 16 windows a vector register carries read 16
 /// contiguous bytes per position instead of 16 strided ones. The window
 /// count is padded to a multiple of kLaneWidth with X so kernels never
@@ -81,8 +85,13 @@ class StripedWindows {
   /// register and divides evenly into the portable tier's lane arrays.
   static constexpr std::size_t kLaneWidth = 16;
 
-  /// Rebuilds the striped image of `batch` (reuses storage across calls).
-  void assign(const WindowBatch& batch);
+  /// Rebuilds the image from the windows of `list` in `bank` -- byte for
+  /// byte the transpose of extract_windows(bank, list, shape) plus the X
+  /// pad lanes -- without materialising a WindowBatch: each group of 16
+  /// windows is copied into a small tile and transposed in registers.
+  /// Reuses storage across calls.
+  void assign(const bio::SequenceBank& bank, std::span<const Occurrence> list,
+              const WindowShape& shape);
 
   std::size_t window_length() const { return window_length_; }
   std::size_t size() const { return count_; }          ///< real windows
@@ -99,6 +108,7 @@ class StripedWindows {
   std::size_t count_ = 0;
   std::size_t stride_ = 0;
   std::vector<std::uint8_t> residues_;
+  std::vector<std::uint8_t> tile_;  ///< one lane group, window-major
 };
 
 }  // namespace psc::index

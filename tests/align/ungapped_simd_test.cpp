@@ -15,12 +15,17 @@
 namespace psc::align {
 namespace {
 
-/// Runs every kernel implementation over (one, batch) and asserts the
-/// scores agree bit-for-bit with the scalar reference.
+/// Runs every kernel implementation over `one` against the windows of
+/// `list` in `bank` and asserts the scores agree bit-for-bit with the
+/// scalar reference.
 void expect_all_kernels_agree(const index::WindowBatch& one,
-                              const index::WindowBatch& batch,
+                              const bio::SequenceBank& bank,
+                              std::span<const index::Occurrence> list,
+                              const index::WindowShape& shape,
                               const bio::SubstitutionMatrix& m,
                               const char* label) {
+  index::WindowBatch batch(shape.length());
+  index::extract_windows(bank, list, shape, batch);
   std::vector<int> scalar, blocked, portable, dispatched;
   ungapped_score_one_vs_many(one.window(0), batch, m, scalar);
   ungapped_score_one_vs_many_blocked(one.window(0), batch, m, blocked);
@@ -28,7 +33,7 @@ void expect_all_kernels_agree(const index::WindowBatch& one,
   ScoreProfile profile;
   profile.build(one.window(0), m);
   index::StripedWindows striped;
-  striped.assign(batch);
+  striped.assign(bank, list, shape);
   ungapped_score_profile_vs_striped_portable(profile, striped, portable);
   ungapped_score_profile_vs_striped(profile, striped, dispatched);
 
@@ -64,6 +69,32 @@ TEST(ScoreProfile, RowsMatchMatrixWithXPaddedColumns) {
   }
 }
 
+TEST(ScoreProfile, RowsFollowTheMatrixPassedToEachBuild) {
+  // One profile object reused across matrices, including one edited in
+  // place between builds: every build must reflect the scores it was
+  // given, never rows kept from an earlier matrix.
+  const std::vector<std::uint8_t> window = {0, 5, bio::kUnknownX, 30};
+  bio::SubstitutionMatrix edited = bio::SubstitutionMatrix::identity(3, -2);
+  ScoreProfile profile;
+  const auto expect_rows = [&](const bio::SubstitutionMatrix& m) {
+    for (std::size_t k = 0; k < window.size(); ++k) {
+      for (std::size_t c = 0; c < ScoreProfile::kStride; ++c) {
+        EXPECT_EQ(profile.row(k)[c],
+                  m.score(window[k], static_cast<bio::Residue>(c)))
+            << "k=" << k << " c=" << c;
+      }
+    }
+  };
+  profile.build(window, bio::SubstitutionMatrix::blosum62());
+  expect_rows(bio::SubstitutionMatrix::blosum62());
+  profile.build(window, edited);
+  expect_rows(edited);
+  edited.set_score(5, 0, 9);
+  profile.build(window, edited);
+  expect_rows(edited);
+  EXPECT_EQ(profile.row(1)[0], 9);
+}
+
 TEST(ScoreProfile, RepresentabilityBounds) {
   EXPECT_TRUE(ScoreProfile::representable(bio::SubstitutionMatrix::blosum62()));
   EXPECT_TRUE(
@@ -81,12 +112,12 @@ TEST(StripedWindows, TransposesAndPadsWithX) {
   const index::WindowShape shape{4, 3};
   bio::SequenceBank bank(bio::SequenceKind::kProtein);
   bank.add(sim::generate_protein("p", 80, rng));
+  std::vector<index::Occurrence> list;
+  for (std::uint32_t i = 0; i < 5; ++i) list.push_back({0, 3 + 7 * i});
   index::WindowBatch batch(shape.length());
-  for (std::uint32_t i = 0; i < 5; ++i) {
-    batch.append(bank, index::Occurrence{0, 3 + 7 * i}, shape);
-  }
+  index::extract_windows(bank, list, shape, batch);
   index::StripedWindows striped;
-  striped.assign(batch);
+  striped.assign(bank, list, shape);
   EXPECT_EQ(striped.size(), batch.size());
   EXPECT_EQ(striped.window_length(), batch.window_length());
   EXPECT_EQ(striped.padded_size() % index::StripedWindows::kLaneWidth, 0u);
@@ -104,9 +135,9 @@ TEST(StripedWindows, TransposesAndPadsWithX) {
 
 TEST(UngappedSimd, EmptyBatchYieldsNoScores) {
   const auto& m = bio::SubstitutionMatrix::blosum62();
-  index::WindowBatch batch(8);
+  const bio::SequenceBank bank(bio::SequenceKind::kProtein);
   index::StripedWindows striped;
-  striped.assign(batch);
+  striped.assign(bank, {}, index::WindowShape{4, 2});
   ScoreProfile profile;
   profile.build(std::vector<std::uint8_t>(8, 0), m);
   std::vector<int> scores{1, 2, 3};
@@ -116,9 +147,9 @@ TEST(UngappedSimd, EmptyBatchYieldsNoScores) {
 
 TEST(UngappedSimd, LengthMismatchThrows) {
   const auto& m = bio::SubstitutionMatrix::blosum62();
-  index::WindowBatch batch(8);
+  const bio::SequenceBank bank(bio::SequenceKind::kProtein);
   index::StripedWindows striped;
-  striped.assign(batch);
+  striped.assign(bank, {}, index::WindowShape{4, 2});
   ScoreProfile profile;
   profile.build(std::vector<std::uint8_t>(10, 0), m);
   std::vector<int> scores;
@@ -138,19 +169,19 @@ TEST(UngappedSimd, RandomWindowsWithBoundaryFlanksAgree) {
     const std::size_t seq_len = shape.length() + 40;
     bank.add(sim::generate_protein("p", seq_len, rng));
     const std::size_t count = 1 + rng.bounded(40);
-    index::WindowBatch batch(shape.length());
+    std::vector<index::Occurrence> list;
     for (std::size_t i = 0; i < count; ++i) {
       // Offsets 0 and end-of-sequence force maximal X padding.
       const std::uint32_t offset =
           i % 3 == 0 ? 0
                      : static_cast<std::uint32_t>(rng.bounded(seq_len - 1));
-      batch.append(bank, index::Occurrence{0, offset}, shape);
+      list.push_back({0, offset});
     }
     index::WindowBatch one(shape.length());
     one.append(bank, index::Occurrence{0, static_cast<std::uint32_t>(
                                               rng.bounded(seq_len - 1))},
                shape);
-    expect_all_kernels_agree(one, batch, m, "boundary flanks");
+    expect_all_kernels_agree(one, bank, list, shape, m, "boundary flanks");
   }
 }
 
@@ -164,16 +195,14 @@ TEST(UngappedSimd, AllNegativeWindowsScoreZero) {
   bank.add(bio::Sequence::protein_from_letters("g", std::string(64, 'G')));
   index::WindowBatch one(shape.length());
   one.append(bank, index::Occurrence{0, 20}, shape);
-  index::WindowBatch batch(shape.length());
-  for (std::uint32_t i = 0; i < 19; ++i) {
-    batch.append(bank, index::Occurrence{1, 10 + i}, shape);
-  }
-  expect_all_kernels_agree(one, batch, m, "all negative");
+  std::vector<index::Occurrence> list;
+  for (std::uint32_t i = 0; i < 19; ++i) list.push_back({1, 10 + i});
+  expect_all_kernels_agree(one, bank, list, shape, m, "all negative");
 
   ScoreProfile profile;
   profile.build(one.window(0), m);
   index::StripedWindows striped;
-  striped.assign(batch);
+  striped.assign(bank, list, shape);
   std::vector<int> scores;
   ungapped_score_profile_vs_striped(profile, striped, scores);
   for (const int s : scores) EXPECT_EQ(s, 0);
@@ -191,17 +220,14 @@ TEST(UngappedSimd, SaturationAdjacentScoresStayExact) {
   bank.add(sim::generate_protein("p", 2 * len, rng));
   index::WindowBatch one(shape.length());
   one.append(bank, index::Occurrence{0, len}, shape);
-  index::WindowBatch batch(shape.length());
-  batch.append(bank, index::Occurrence{0, len}, shape);  // identical: peak
-  for (std::uint32_t i = 0; i < 17; ++i) {
-    batch.append(bank, index::Occurrence{0, 30 + 11 * i}, shape);
-  }
-  expect_all_kernels_agree(one, batch, m, "saturation adjacent");
+  std::vector<index::Occurrence> list = {{0, len}};  // identical: peak
+  for (std::uint32_t i = 0; i < 17; ++i) list.push_back({0, 30 + 11 * i});
+  expect_all_kernels_agree(one, bank, list, shape, m, "saturation adjacent");
 
   ScoreProfile profile;
   profile.build(one.window(0), m);
   index::StripedWindows striped;
-  striped.assign(batch);
+  striped.assign(bank, list, shape);
   std::vector<int> scores;
   ungapped_score_profile_vs_striped(profile, striped, scores);
   EXPECT_EQ(scores[0], 100 * static_cast<int>(len));

@@ -5,6 +5,8 @@
 #include <algorithm>
 
 #include "align/ungapped.hpp"
+#include "core/step23_overlap.hpp"
+#include "core/step3_gapped.hpp"
 #include "index/neighborhood.hpp"
 #include "sim/protein_generator.hpp"
 #include "util/executor.hpp"
@@ -244,6 +246,101 @@ TEST(HostStep2, RunsOnPrivateExecutor) {
       banks.bank0, t0, banks.bank1, t1, m, banks.shape, 26, 2,
       align::UngappedKernel::kAuto, Step2Schedule::kCostAware, &executor);
   EXPECT_EQ(sorted(result.hits), sorted(reference.hits));
+}
+
+TEST(HostStep2, HitSetsIdenticalAcrossSimdThreshold) {
+  // Every bank-1 sequence starts with q0's first 12 residues and ends
+  // with its last 12, so the keys of those words have IL1 lists of 40
+  // windows clipped at a sequence edge (the SIMD path, fed straight from
+  // the bank), while the random remainder leaves every other key with a
+  // list shorter than two lane groups (the blocked fallback).
+  util::Xoshiro256 rng(12);
+  bio::SequenceBank bank0(bio::SequenceKind::kProtein);
+  bio::SequenceBank bank1(bio::SequenceKind::kProtein);
+  for (int i = 0; i < 3; ++i) {
+    bank0.add(sim::generate_protein("q" + std::to_string(i), 120, rng));
+  }
+  for (int i = 0; i < 40; ++i) {
+    bank1.add(sim::generate_protein("t" + std::to_string(i), 80, rng));
+    auto& target = bank1.mutable_sequence(bank1.size() - 1).mutable_residues();
+    for (std::size_t k = 0; k < 12; ++k) {
+      target[k] = bank0[0][k];
+      target[68 + k] = bank0[0][108 + k];
+    }
+  }
+  const index::SeedModel model = index::SeedModel::subset_w4();
+  const index::IndexTable t0(bank0, model);
+  const index::IndexTable t1(bank1, model);
+  const index::WindowShape shape{4, 7};  // 18: not a whole lane group
+  const auto& m = bio::SubstitutionMatrix::blosum62();
+  const int threshold = 30;
+
+  std::vector<index::SeedKey> keys;
+  bool deep = false;
+  bool shallow = false;
+  for (std::size_t k = 0; k < t0.key_space(); ++k) {
+    const auto key = static_cast<index::SeedKey>(k);
+    if (t0.list_length(key) == 0 || t1.list_length(key) == 0) continue;
+    keys.push_back(key);
+    if (t1.list_length(key) >= 2 * index::StripedWindows::kLaneWidth) {
+      deep = true;
+    } else {
+      shallow = true;
+    }
+  }
+  ASSERT_TRUE(deep);
+  ASSERT_TRUE(shallow);
+
+  const HostStep2Result ref = run_step2_host(
+      bank0, t0, bank1, t1, m, shape, threshold, align::UngappedKernel::kScalar);
+  ASSERT_FALSE(ref.hits.empty());
+  const auto expected = sorted(ref.hits);
+  for (const auto kernel :
+       {align::UngappedKernel::kScalar, align::UngappedKernel::kBlocked,
+        align::UngappedKernel::kSimd}) {
+    const std::string name = align::ungapped_kernel_name(kernel);
+    const HostStep2Result seq =
+        run_step2_host(bank0, t0, bank1, t1, m, shape, threshold, kernel);
+    EXPECT_EQ(sorted(seq.hits), expected) << name;
+    EXPECT_EQ(seq.pairs, ref.pairs) << name;
+    for (const std::size_t threads : {1u, 3u}) {
+      const HostStep2Result par = run_step2_host_parallel(
+          bank0, t0, bank1, t1, m, shape, threshold, threads, kernel);
+      EXPECT_EQ(sorted(par.hits), expected) << name << " x" << threads;
+      const HostStep2Result by_keys = run_step2_host_keys(
+          bank0, t0, bank1, t1, m, shape, threshold, keys, threads, kernel);
+      EXPECT_EQ(sorted(by_keys.hits), expected) << name << " x" << threads;
+      EXPECT_EQ(by_keys.pairs, ref.pairs) << name << " x" << threads;
+    }
+  }
+
+  // The overlapped step-2/3 driver scores the same hits and so extends
+  // them into the same matches.
+  PipelineOptions options;
+  options.shape = shape;
+  options.ungapped_threshold = threshold;
+  const Step3Result step3 = run_step3(bank0, bank1, ref.hits, m, options);
+  ASSERT_FALSE(step3.matches.empty());
+  for (const auto kernel :
+       {align::UngappedKernel::kScalar, align::UngappedKernel::kBlocked,
+        align::UngappedKernel::kSimd}) {
+    const std::string name = align::ungapped_kernel_name(kernel);
+    options.step2_kernel = kernel;
+    const OverlapOutcome outcome =
+        run_steps23_overlapped(bank0, t0, bank1, t1, m, options, 3);
+    EXPECT_EQ(outcome.hits, ref.hits.size()) << name;
+    EXPECT_EQ(outcome.pairs, ref.pairs) << name;
+    ASSERT_EQ(outcome.matches.size(), step3.matches.size()) << name;
+    for (std::size_t i = 0; i < step3.matches.size(); ++i) {
+      const Match& a = outcome.matches[i];
+      const Match& b = step3.matches[i];
+      EXPECT_EQ(std::tie(a.bank0_sequence, a.bank1_sequence, a.alignment.score,
+                         a.alignment.begin0, a.alignment.begin1, a.e_value),
+                std::tie(b.bank0_sequence, b.bank1_sequence, b.alignment.score,
+                         b.alignment.begin0, b.alignment.begin1, b.e_value))
+          << name << " #" << i;
+    }
+  }
 }
 
 }  // namespace

@@ -4,6 +4,9 @@
 // size, quality-benchmark plumbing).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+
 #include "core/pipeline.hpp"
 #include "eval/average_precision.hpp"
 #include "eval/benchmark_set.hpp"
@@ -30,10 +33,18 @@ TEST(EndToEnd, SoftwareProfileIsStep2Dominated) {
   core::PipelineOptions options;
   options.seed_model = core::SeedModelKind::kSubsetW4Coarse;
   options.backend = core::Step2Backend::kHostSequential;
-  const core::PipelineResult result = core::run_pipeline(
-      workload.banks.back().proteins, workload.genome_bank, options);
-  EXPECT_GT(result.times.step2_ungapped,
-            result.times.step1_index + result.times.step3_gapped);
+  // Each step's time is the fastest of three runs, so one preemption of
+  // a loaded test host cannot invert the ratio.
+  constexpr double kNever = std::numeric_limits<double>::infinity();
+  double step1 = kNever, step2 = kNever, step3 = kNever;
+  for (int run = 0; run < 3; ++run) {
+    const core::PipelineResult result = core::run_pipeline(
+        workload.banks.back().proteins, workload.genome_bank, options);
+    step1 = std::min(step1, result.times.step1_index);
+    step2 = std::min(step2, result.times.step2_ungapped);
+    step3 = std::min(step3, result.times.step3_gapped);
+  }
+  EXPECT_GT(step2, step1 + step3);
 }
 
 TEST(EndToEnd, UtilizationGrowsWithBankSize) {

@@ -727,7 +727,13 @@ TEST_F(LoopbackTest, ClientsWithDifferentOptionsNeverShareAPass) {
   for (int repeat = 0; repeat < 8; ++repeat) {
     for (const bio::Sequence& protein : saved.proteins) heavy.add(protein);
   }
-  auto priming = service_->submit(heavy, saved.prefix);
+  // The priming pass runs under options neither client uses, so a worker
+  // that drains it late (a loaded host) cannot fold a client into it.
+  service::ServiceRequest priming_request;
+  priming_request.query = std::move(heavy);
+  priming_request.bank_prefix = saved.prefix;
+  priming_request.options.composition_based_stats = true;
+  auto priming = service_->submit(std::move(priming_request));
 
   service::QueryOptions traced_options;
   traced_options.with_traceback = true;
