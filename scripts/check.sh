@@ -81,6 +81,14 @@ TSAN_OPTIONS="halt_on_error=1 suppressions=$PWD/scripts/tsan.supp" \
   ctest --test-dir build-tsan --output-on-failure \
   -R '^(util|core|service|net|cluster)_test$'
 
+echo "== sanitizers: router admission slot, repeated under TSan =="
+# The fan-out worker frees its admission slot before readying the reply;
+# a caller woken by the reply must find the slot free.
+TSAN_OPTIONS="halt_on_error=1 suppressions=$PWD/scripts/tsan.supp" \
+  ./build-tsan/tests/cluster_test \
+  --gtest_filter='RouterTest.ClusterAdmissionCapRejectsFastNotQueues' \
+  --gtest_repeat=50
+
 echo "== sanitizers: step-3 kernel equality (incl. overlap path) under TSan =="
 TSAN_OPTIONS="halt_on_error=1 suppressions=$PWD/scripts/tsan.supp" \
   ./build-tsan/tests/core_test --gtest_filter='Step3Kernels.*'

@@ -194,42 +194,51 @@ std::future<service::ServiceResponse> Router::submit_search(
   // destructor drains through active_.
   std::thread([this, promise, request = std::move(request)]() mutable {
     const auto start = Clock::now();
+    std::optional<service::ServiceResponse> response;
+    std::exception_ptr error;
     try {
-      service::ServiceResponse response = run_fanout(request);
-      response.latency_seconds = seconds_since(start);
+      response = run_fanout(request);
+      response->latency_seconds = seconds_since(start);
       {
         std::lock_guard<std::mutex> lock(stats_mutex_);
         ++stats_.queries_completed;
         ++stats_.batches;
         stats_.max_batch = std::max<std::size_t>(stats_.max_batch, 1);
-        stats_.total_latency_seconds += response.latency_seconds;
-        stats_.total_batch_latency_seconds += response.latency_seconds;
+        stats_.total_latency_seconds += response->latency_seconds;
+        stats_.total_batch_latency_seconds += response->latency_seconds;
         stats_.max_batch_latency_seconds = std::max(
-            stats_.max_batch_latency_seconds, response.latency_seconds);
+            stats_.max_batch_latency_seconds, response->latency_seconds);
       }
       registry_.complete(request.tenant.name, request.bank_prefix,
-                         /*success=*/true, response.latency_seconds);
-      promise->set_value(std::move(response));
+                         /*success=*/true, response->latency_seconds);
     } catch (...) {
+      error = std::current_exception();
       {
         std::lock_guard<std::mutex> lock(stats_mutex_);
         ++stats_.queries_failed;
       }
       registry_.complete(request.tenant.name, request.bank_prefix,
                          /*success=*/false, 0.0);
-      promise->set_exception(std::current_exception());
     }
-    request.notify_ready();
     {
-      // Notify under the lock: the destructor destroys drain_cv_ as
-      // soon as its wait sees active_ == 0, and the wait cannot return
-      // before this worker releases drain_mutex_ -- which is after the
-      // broadcast completes. Notifying outside the lock would let the
-      // condvar die mid-broadcast.
+      // Free the admission slot before readying the future: a caller
+      // woken by the reply may submit again at once and must find the
+      // slot free. Notify under the lock: the destructor destroys
+      // drain_cv_ as soon as its wait sees active_ == 0, and the wait
+      // cannot return before this worker releases drain_mutex_ -- which
+      // is after the broadcast completes.
       std::lock_guard<std::mutex> lock(drain_mutex_);
       --active_;
       drain_cv_.notify_all();
     }
+    // The router may be gone from here on: touch only this worker's own
+    // promise and request, never `this`.
+    if (error) {
+      promise->set_exception(error);
+    } else {
+      promise->set_value(std::move(*response));
+    }
+    request.notify_ready();
   }).detach();
   return future;
 }

@@ -20,14 +20,13 @@ DispatchResult run_step2_dispatch(const bio::SequenceBank& bank0,
         "run_step2_dispatch: host_fraction must be in [0,1]");
   }
 
-  // Weigh every populated key by its pair count, heaviest first, and give
-  // the host keys until its share of the total weight is reached. Heavy
-  // keys favour the accelerator (they fill the PE array), so the host's
-  // share is taken from the light end.
+  // Weigh every key the query occupies by its pair count, heaviest
+  // first, and give the host keys until its share of the total weight is
+  // reached. Heavy keys favour the accelerator (they fill the PE array),
+  // so the host's share is taken from the light end.
   std::vector<std::pair<std::uint64_t, index::SeedKey>> weighted;
   std::uint64_t total_weight = 0;
-  for (std::size_t k = 0; k < table0.key_space(); ++k) {
-    const auto key = static_cast<index::SeedKey>(k);
+  for (const index::SeedKey key : table0.occupied_keys()) {
     const std::uint64_t weight =
         static_cast<std::uint64_t>(table0.list_length(key)) *
         table1.list_length(key);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <span>
 #include <unordered_map>
 #include <utility>
 
@@ -83,11 +84,12 @@ OverlapOutcome run_steps23_overlapped(
   out.gapped_kernel = extender.kernel();
   if (workers < 2) workers = 2;
 
+  const std::span<const index::SeedKey> keys = table0.occupied_keys();
   const auto chunks =
       options.step2_schedule == Step2Schedule::kCostAware
-          ? cost_aware_key_chunks(table0, table1,
+          ? cost_aware_key_chunks(table0, table1, keys,
                                   workers * kStep2ChunksPerWorker)
-          : util::blocks(0, table0.key_space(), workers);
+          : util::blocks(0, keys.size(), workers);
 
   util::Timer timer;
   // Drain-first workers keep the queue length around `workers`; the
@@ -157,7 +159,10 @@ OverlapOutcome run_steps23_overlapped(
           if (c < chunks.size()) {
             std::vector<align::SeedPairHit> batch;
             pairs.fetch_add(
-                scorer.score_range(chunks[c].first, chunks[c].second, batch),
+                scorer.score_keys(keys.subspan(chunks[c].first,
+                                               chunks[c].second -
+                                                   chunks[c].first),
+                                  batch),
                 std::memory_order_relaxed);
             if (!batch.empty()) channel.push(std::move(batch));
             // Push strictly before the close decision: the last chunk's

@@ -1,7 +1,6 @@
 #include "core/step2_host.hpp"
 
 #include <algorithm>
-#include <atomic>
 
 #include "align/ungapped.hpp"
 #include "index/neighborhood.hpp"
@@ -94,49 +93,22 @@ std::uint64_t process_key(
   return static_cast<std::uint64_t>(list0.size()) * list1.size();
 }
 
-/// Processes keys [first, last).
-std::uint64_t process_key_range(
+/// Scores `keys` in the given order, appending hits in that order;
+/// returns the window pairs scored. Every host step-2 walker runs
+/// through here over a list of occupied keys, never the dense key space.
+std::uint64_t process_keys(
     const bio::SequenceBank& bank0, const index::IndexTable& table0,
     const bio::SequenceBank& bank1, const index::IndexTable& table1,
     const bio::SubstitutionMatrix& matrix, const index::WindowShape& shape,
-    int threshold, align::UngappedKernel kernel, std::size_t first,
-    std::size_t last, Step2Scratch& scratch,
+    int threshold, align::UngappedKernel kernel,
+    std::span<const index::SeedKey> keys, Step2Scratch& scratch,
     std::vector<align::SeedPairHit>& hits) {
   std::uint64_t pairs = 0;
-  for (std::size_t k = first; k < last; ++k) {
+  for (const index::SeedKey key : keys) {
     pairs += process_key(bank0, table0, bank1, table1, matrix, shape,
-                         threshold, kernel, static_cast<index::SeedKey>(k),
-                         scratch, hits);
+                         threshold, kernel, key, scratch, hits);
   }
   return pairs;
-}
-
-/// Greedy cut of a per-item cost vector into at most `parts` contiguous
-/// ranges of approximately equal total cost. All-zero costs degrade to
-/// equal-count blocks so empty tables still spread across workers.
-std::vector<std::pair<std::size_t, std::size_t>> chunks_by_cost(
-    const std::vector<std::uint64_t>& cost, std::size_t parts) {
-  const std::size_t count = cost.size();
-  std::vector<std::pair<std::size_t, std::size_t>> chunks;
-  if (count == 0) return chunks;
-  if (parts == 0) parts = 1;
-  std::uint64_t total = 0;
-  for (const std::uint64_t c : cost) total += c;
-  if (total == 0) return util::blocks(0, count, parts);
-  const std::uint64_t target = (total + parts - 1) / parts;
-  chunks.reserve(parts);
-  std::size_t begin = 0;
-  std::uint64_t acc = 0;
-  for (std::size_t i = 0; i < count; ++i) {
-    acc += cost[i];
-    if (acc >= target && chunks.size() + 1 < parts) {
-      chunks.emplace_back(begin, i + 1);
-      begin = i + 1;
-      acc = 0;
-    }
-  }
-  if (begin < count) chunks.emplace_back(begin, count);
-  return chunks;
 }
 
 }  // namespace
@@ -158,26 +130,34 @@ void normalize_step2_hits(std::vector<align::SeedPairHit>& hits) {
 
 std::vector<std::pair<std::size_t, std::size_t>> cost_aware_key_chunks(
     const index::IndexTable& table0, const index::IndexTable& table1,
-    std::size_t parts) {
-  const std::size_t keys = table0.key_space();
-  std::vector<std::uint64_t> cost(keys);
-  for (std::size_t k = 0; k < keys; ++k) {
-    const auto key = static_cast<index::SeedKey>(k);
-    cost[k] = static_cast<std::uint64_t>(table0.list_length(key)) *
-              table1.list_length(key);
-  }
-  return chunks_by_cost(cost, parts);
-}
-
-std::vector<std::pair<std::size_t, std::size_t>> cost_aware_key_chunks(
-    const index::IndexTable& table0, const index::IndexTable& table1,
     std::span<const index::SeedKey> keys, std::size_t parts) {
-  std::vector<std::uint64_t> cost(keys.size());
-  for (std::size_t i = 0; i < keys.size(); ++i) {
-    cost[i] = static_cast<std::uint64_t>(table0.list_length(keys[i])) *
-              table1.list_length(keys[i]);
+  const std::size_t count = keys.size();
+  std::vector<std::pair<std::size_t, std::size_t>> chunks;
+  if (count == 0) return chunks;
+  if (parts == 0) parts = 1;
+  const auto cost = [&](index::SeedKey key) {
+    return static_cast<std::uint64_t>(table0.list_length(key)) *
+           table1.list_length(key);
+  };
+  std::uint64_t total = 0;
+  for (const index::SeedKey key : keys) total += cost(key);
+  // All-zero costs degrade to equal-count blocks so the keys still spread
+  // across workers.
+  if (total == 0) return util::blocks(0, count, parts);
+  const std::uint64_t target = (total + parts - 1) / parts;
+  chunks.reserve(parts);
+  std::size_t begin = 0;
+  std::uint64_t acc = 0;
+  for (std::size_t i = 0; i < count; ++i) {
+    acc += cost(keys[i]);
+    if (acc >= target && chunks.size() + 1 < parts) {
+      chunks.emplace_back(begin, i + 1);
+      begin = i + 1;
+      acc = 0;
+    }
   }
-  return chunks_by_cost(cost, parts);
+  if (begin < count) chunks.emplace_back(begin, count);
+  return chunks;
 }
 
 HostStep2Result run_step2_host(
@@ -188,9 +168,9 @@ HostStep2Result run_step2_host(
   HostStep2Result out;
   out.kernel = align::resolve_ungapped_kernel(kernel, matrix, shape.length());
   Step2Scratch scratch(shape.length());
-  out.pairs = process_key_range(bank0, table0, bank1, table1, matrix, shape,
-                                threshold, out.kernel, 0, table0.key_space(),
-                                scratch, out.hits);
+  out.pairs = process_keys(bank0, table0, bank1, table1, matrix, shape,
+                           threshold, out.kernel, table0.occupied_keys(),
+                           scratch, out.hits);
   out.cells = out.pairs * shape.length();
   return out;
 }
@@ -209,10 +189,8 @@ HostStep2Result run_step2_host_keys(
       threads == 0 ? util::default_thread_count() : threads;
   if (workers <= 1) {
     Step2Scratch scratch(shape.length());
-    for (const index::SeedKey key : keys) {
-      out.pairs += process_key(bank0, table0, bank1, table1, matrix, shape,
-                               threshold, out.kernel, key, scratch, out.hits);
-    }
+    out.pairs = process_keys(bank0, table0, bank1, table1, matrix, shape,
+                             threshold, out.kernel, keys, scratch, out.hits);
     out.cells = out.pairs * shape.length();
     normalize_step2_hits(out.hits);
     return out;
@@ -230,12 +208,11 @@ HostStep2Result run_step2_host_keys(
     group.run([&, c, kernel_used = out.kernel] {
       Step2Scratch scratch(shape.length());
       partial[c].hits.reserve(kStep2PartialReserve);
-      for (std::size_t i = chunks[c].first; i < chunks[c].second; ++i) {
-        partial[c].pairs +=
-            process_key(bank0, table0, bank1, table1, matrix, shape,
-                        threshold, kernel_used, keys[i], scratch,
-                        partial[c].hits);
-      }
+      partial[c].pairs = process_keys(
+          bank0, table0, bank1, table1, matrix, shape, threshold,
+          kernel_used,
+          keys.subspan(chunks[c].first, chunks[c].second - chunks[c].first),
+          scratch, partial[c].hits);
     });
   }
   group.wait();
@@ -257,44 +234,9 @@ HostStep2Result run_step2_host_parallel(
     const bio::SubstitutionMatrix& matrix, const index::WindowShape& shape,
     int threshold, std::size_t threads, align::UngappedKernel kernel,
     Step2Schedule schedule, util::Executor* executor) {
-  const align::UngappedKernel kernel_used =
-      align::resolve_ungapped_kernel(kernel, matrix, shape.length());
-  const std::size_t workers =
-      threads == 0 ? util::default_thread_count() : threads;
-  const auto chunks =
-      schedule == Step2Schedule::kCostAware
-          ? cost_aware_key_chunks(table0, table1,
-                                  workers * kStep2ChunksPerWorker)
-          : util::blocks(0, table0.key_space(), workers);
-
-  util::Executor& exec = executor ? *executor : util::Executor::shared();
-  util::Executor::TaskGroup group(exec, workers);
-  std::vector<HostStep2Result> partial(chunks.size());
-  std::atomic<std::uint64_t> total_pairs{0};
-  for (std::size_t c = 0; c < chunks.size(); ++c) {
-    group.run([&, c] {
-      Step2Scratch scratch(shape.length());
-      partial[c].hits.reserve(kStep2PartialReserve);
-      partial[c].pairs = process_key_range(
-          bank0, table0, bank1, table1, matrix, shape, threshold, kernel_used,
-          chunks[c].first, chunks[c].second, scratch, partial[c].hits);
-      total_pairs.fetch_add(partial[c].pairs, std::memory_order_relaxed);
-    });
-  }
-  group.wait();
-
-  HostStep2Result out;
-  out.kernel = kernel_used;
-  out.pairs = total_pairs.load();
-  out.cells = out.pairs * shape.length();
-  std::size_t total_hits = 0;
-  for (const auto& p : partial) total_hits += p.hits.size();
-  out.hits.reserve(total_hits);
-  for (auto& p : partial) {
-    out.hits.insert(out.hits.end(), p.hits.begin(), p.hits.end());
-  }
-  normalize_step2_hits(out.hits);
-  return out;
+  return run_step2_host_keys(bank0, table0, bank1, table1, matrix, shape,
+                             threshold, table0.occupied_keys(), threads,
+                             kernel, schedule, executor);
 }
 
 struct Step2KeyScorer::Impl {
@@ -335,13 +277,13 @@ Step2KeyScorer::~Step2KeyScorer() = default;
 
 align::UngappedKernel Step2KeyScorer::kernel() const { return impl_->kernel; }
 
-std::uint64_t Step2KeyScorer::score_range(
-    std::size_t first_key, std::size_t last_key,
+std::uint64_t Step2KeyScorer::score_keys(
+    std::span<const index::SeedKey> keys,
     std::vector<align::SeedPairHit>& hits) {
-  return process_key_range(impl_->bank0, impl_->table0, impl_->bank1,
-                           impl_->table1, impl_->matrix, impl_->shape,
-                           impl_->threshold, impl_->kernel, first_key,
-                           last_key, impl_->scratch, hits);
+  return process_keys(impl_->bank0, impl_->table0, impl_->bank1,
+                      impl_->table1, impl_->matrix, impl_->shape,
+                      impl_->threshold, impl_->kernel, keys, impl_->scratch,
+                      hits);
 }
 
 }  // namespace psc::core

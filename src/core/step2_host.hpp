@@ -6,7 +6,9 @@
 //         ungapped_extension(IL0k[i], IL1k[j])
 //
 // executed either sequentially (the paper's software baseline structure)
-// or across a thread pool partitioned by seed key.
+// or across a thread pool partitioned by seed key. The outer loop runs
+// over T0's occupied keys only: a key with an empty IL0k scores nothing,
+// so skipping it changes no hit and no hit's position in key order.
 #pragma once
 
 #include <cstdint>
@@ -32,17 +34,11 @@ namespace psc::core {
 /// scratch setup stays noise.
 inline constexpr std::size_t kStep2ChunksPerWorker = 8;
 
-/// Greedy contiguous partition of the whole key space into at most
-/// `parts` chunks of approximately equal estimated work, where a key's
-/// cost is |IL0k| * |IL1k| (the window pairs step 2 will score for it).
-/// Ranges are half-open [first, last) over seed keys and cover the key
-/// space exactly.
-std::vector<std::pair<std::size_t, std::size_t>> cost_aware_key_chunks(
-    const index::IndexTable& table0, const index::IndexTable& table1,
-    std::size_t parts);
-
-/// Same, over an explicit key subset (the host/FPGA dispatch path);
-/// returned ranges index into `keys`.
+/// Greedy contiguous partition of a key list into at most `parts` chunks
+/// of approximately equal estimated work, where a key's cost is
+/// |IL0k| * |IL1k| (the window pairs step 2 will score for it). Ranges
+/// are half-open [first, last) indices into `keys` and cover it exactly;
+/// all-zero costs fall back to equal-count blocks.
 std::vector<std::pair<std::size_t, std::size_t>> cost_aware_key_chunks(
     const index::IndexTable& table0, const index::IndexTable& table1,
     std::span<const index::SeedKey> keys, std::size_t parts);
@@ -56,7 +52,9 @@ struct HostStep2Result {
   align::UngappedKernel kernel = align::UngappedKernel::kScalar;
 };
 
-/// Sequential engine.
+/// Sequential engine: walks table0.occupied_keys() in ascending order,
+/// so hits come out in key order. `table0` must own its arrays (a
+/// from_raw_spans view records no occupied keys and throws).
 HostStep2Result run_step2_host(
     const bio::SequenceBank& bank0, const index::IndexTable& table0,
     const bio::SequenceBank& bank1, const index::IndexTable& table1,
@@ -68,7 +66,8 @@ HostStep2Result run_step2_host(
 /// uses hardware concurrency (the TaskGroup caps occupancy at `threads`
 /// even when the executor is wider). Hit order is normalized (sorted)
 /// so results are deterministic regardless of scheduling. `executor`
-/// nullptr = util::Executor::shared().
+/// nullptr = util::Executor::shared(). The same walk as run_step2_host_keys
+/// over table0.occupied_keys().
 HostStep2Result run_step2_host_parallel(
     const bio::SequenceBank& bank0, const index::IndexTable& table0,
     const bio::SequenceBank& bank1, const index::IndexTable& table1,
@@ -78,8 +77,10 @@ HostStep2Result run_step2_host_parallel(
     Step2Schedule schedule = Step2Schedule::kCostAware,
     util::Executor* executor = nullptr);
 
-/// Processes only the given seed keys (used by the host/FPGA dispatch
-/// extension, which splits the key space between the two resources).
+/// Processes only the given seed keys, chunked across `threads` workers
+/// by `schedule`; hit order is normalized. The parallel engine runs it
+/// over the query's occupied keys, the host/FPGA dispatch extension over
+/// its share of them.
 HostStep2Result run_step2_host_keys(
     const bio::SequenceBank& bank0, const index::IndexTable& table0,
     const bio::SequenceBank& bank1, const index::IndexTable& table1,
@@ -96,8 +97,8 @@ HostStep2Result run_step2_host_keys(
 void normalize_step2_hits(std::vector<align::SeedPairHit>& hits);
 
 /// Reusable single-thread scorer: wraps kernel resolution and per-thread
-/// scratch so the overlapped step2/step3 driver can score arbitrary key
-/// ranges between extension bursts without re-allocating kernel state.
+/// scratch so run_steps23_overlapped can score chunks of the occupied-key
+/// list between extension bursts without re-allocating kernel state.
 class Step2KeyScorer {
  public:
   Step2KeyScorer(const bio::SequenceBank& bank0,
@@ -114,10 +115,10 @@ class Step2KeyScorer {
   /// The resolved kernel this scorer runs.
   align::UngappedKernel kernel() const;
 
-  /// Scores keys [first_key, last_key), appending hits in key order;
-  /// returns the number of window pairs scored.
-  std::uint64_t score_range(std::size_t first_key, std::size_t last_key,
-                            std::vector<align::SeedPairHit>& hits);
+  /// Scores `keys` in order, appending hits in that order; returns the
+  /// number of window pairs scored.
+  std::uint64_t score_keys(std::span<const index::SeedKey> keys,
+                           std::vector<align::SeedPairHit>& hits);
 
  private:
   struct Impl;

@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "util/executor.hpp"
-#include "util/executor.hpp"
 
 namespace psc::index {
 
@@ -16,7 +15,8 @@ void IndexTable::adopt_storage() {
 
 IndexTable::IndexTable(const IndexTable& other)
     : starts_storage_(other.starts_storage_),
-      occurrences_storage_(other.occurrences_storage_) {
+      occurrences_storage_(other.occurrences_storage_),
+      occupied_keys_(other.occupied_keys_) {
   if (other.is_view()) {
     starts_ = other.starts_;
     occurrences_ = other.occurrences_;
@@ -29,6 +29,7 @@ IndexTable& IndexTable::operator=(const IndexTable& other) {
   if (this == &other) return *this;
   starts_storage_ = other.starts_storage_;
   occurrences_storage_ = other.occurrences_storage_;
+  occupied_keys_ = other.occupied_keys_;
   if (other.is_view()) {
     starts_ = other.starts_;
     occurrences_ = other.occurrences_;
@@ -42,6 +43,7 @@ IndexTable::IndexTable(IndexTable&& other) noexcept {
   const bool view = other.is_view();
   starts_storage_ = std::move(other.starts_storage_);
   occurrences_storage_ = std::move(other.occurrences_storage_);
+  occupied_keys_ = std::move(other.occupied_keys_);
   if (view) {
     starts_ = other.starts_;
     occurrences_ = other.occurrences_;
@@ -59,6 +61,7 @@ IndexTable& IndexTable::operator=(IndexTable&& other) noexcept {
   const bool view = other.is_view();
   starts_storage_ = std::move(other.starts_storage_);
   occurrences_storage_ = std::move(other.occurrences_storage_);
+  occupied_keys_ = std::move(other.occupied_keys_);
   if (view) {
     starts_ = other.starts_;
     occurrences_ = other.occurrences_;
@@ -117,41 +120,59 @@ bool IndexTable::consistent_with(const bio::SequenceBank& bank,
   return ok;
 }
 
-IndexTable::IndexTable(const bio::SequenceBank& bank, const SeedModel& model,
-                       std::size_t stride) {
-  if (stride == 0) throw std::invalid_argument("IndexTable: stride must be >= 1");
+IndexTable::IndexTable(const bio::SequenceBank& bank, const SeedModel& model) {
   const std::size_t w = model.width();
   const std::size_t keys = model.key_space();
   std::vector<std::size_t>& starts = starts_storage_;
   std::vector<Occurrence>& occurrences = occurrences_storage_;
   starts.assign(keys + 1, 0);
 
-  // Pass 1: count occurrences per key (counts land in starts[key + 1] so
-  // the prefix sum below turns them into begin offsets directly).
+  // Pass 1: count occurrences per key.
+  std::size_t words = 0;
   for (std::size_t s = 0; s < bank.size(); ++s) {
     const bio::Sequence& seq = bank[s];
     if (seq.size() < w) continue;
     const std::uint8_t* data = seq.data();
     const std::size_t last = seq.size() - w;
-    for (std::size_t pos = 0; pos <= last; pos += stride) {
-      const SeedKey key = model.key(data + pos);
-      if (key != kInvalidSeedKey) ++starts[key + 1];
-    }
-  }
-  for (std::size_t k = 0; k < keys; ++k) starts[k + 1] += starts[k];
-
-  // Pass 2: place occurrences. cursor[k] tracks the next free slot.
-  occurrences.resize(starts[keys]);
-  std::vector<std::size_t> cursor(starts.begin(), starts.end() - 1);
-  for (std::size_t s = 0; s < bank.size(); ++s) {
-    const bio::Sequence& seq = bank[s];
-    if (seq.size() < w) continue;
-    const std::uint8_t* data = seq.data();
-    const std::size_t last = seq.size() - w;
-    for (std::size_t pos = 0; pos <= last; pos += stride) {
+    for (std::size_t pos = 0; pos <= last; ++pos) {
       const SeedKey key = model.key(data + pos);
       if (key == kInvalidSeedKey) continue;
-      occurrences[cursor[key]++] = Occurrence{
+      ++starts[key];
+      ++words;
+    }
+  }
+  // Inclusive prefix sum: starts[k] becomes the end of key k's list. The
+  // sum already visits every key, so it also records the occupied ones
+  // and step 2 never walks the key space again. It does so without a
+  // branch: every key is written to the next free slot and only an
+  // occupied one advances it. No more keys can be occupied than words
+  // were indexed, so the slots cannot overflow.
+  occupied_keys_.resize(std::min(keys, words) + 1);
+  SeedKey* occupied = occupied_keys_.data();
+  std::size_t n = 0;
+  std::size_t running = 0;
+  for (std::size_t k = 0; k < keys; ++k) {
+    const std::size_t count = starts[k];
+    occupied[n] = static_cast<SeedKey>(k);
+    n += count != 0;
+    running += count;
+    starts[k] = running;
+  }
+  starts[keys] = running;
+  occupied_keys_.resize(n);
+
+  // Pass 2: place occurrences back to front. Each key's end offset counts
+  // down to its begin offset, and walking the bank in reverse keeps every
+  // list in bank order, so no separate cursor array is needed.
+  occurrences.resize(running);
+  for (std::size_t s = bank.size(); s-- > 0;) {
+    const bio::Sequence& seq = bank[s];
+    if (seq.size() < w) continue;
+    const std::uint8_t* data = seq.data();
+    for (std::size_t pos = seq.size() - w + 1; pos-- > 0;) {
+      const SeedKey key = model.key(data + pos);
+      if (key == kInvalidSeedKey) continue;
+      occurrences[--starts[key]] = Occurrence{
           static_cast<std::uint32_t>(s), static_cast<std::uint32_t>(pos)};
     }
   }
@@ -160,9 +181,7 @@ IndexTable::IndexTable(const bio::SequenceBank& bank, const SeedModel& model,
 
 IndexTable IndexTable::build_parallel(const bio::SequenceBank& bank,
                                       const SeedModel& model,
-                                      std::size_t threads,
-                                      std::size_t stride) {
-  if (stride == 0) throw std::invalid_argument("IndexTable: stride must be >= 1");
+                                      std::size_t threads) {
   const std::size_t workers =
       threads == 0 ? util::default_thread_count() : threads;
   const std::size_t w = model.width();
@@ -187,7 +206,7 @@ IndexTable IndexTable::build_parallel(const bio::SequenceBank& bank,
         if (seq.size() < w) continue;
         const std::uint8_t* data = seq.data();
         const std::size_t last = seq.size() - w;
-        for (std::size_t pos = 0; pos <= last; pos += stride) {
+        for (std::size_t pos = 0; pos <= last; ++pos) {
           const SeedKey key = model.key(data + pos);
           if (key != kInvalidSeedKey) ++local[key];
         }
@@ -197,15 +216,20 @@ IndexTable IndexTable::build_parallel(const bio::SequenceBank& bank,
   group.wait();
 
   // Merge: global starts plus each chunk's base cursor per key, laid out
-  // so chunk order within a key matches bank order (serial equivalence).
+  // so chunk order within a key matches bank order (serial equivalence),
+  // recording the occupied keys on the way as the serial build does.
   std::vector<std::vector<std::size_t>> cursors(
       chunks.size(), std::vector<std::size_t>(keys, 0));
   std::size_t running = 0;
   for (std::size_t k = 0; k < keys; ++k) {
-    table.starts_storage_[k] = running;
+    const std::size_t begin = running;
+    table.starts_storage_[k] = begin;
     for (std::size_t c = 0; c < chunks.size(); ++c) {
       cursors[c][k] = running;
       running += counts[c][k];
+    }
+    if (running != begin) {
+      table.occupied_keys_.push_back(static_cast<SeedKey>(k));
     }
   }
   table.starts_storage_[keys] = running;
@@ -220,7 +244,7 @@ IndexTable IndexTable::build_parallel(const bio::SequenceBank& bank,
         if (seq.size() < w) continue;
         const std::uint8_t* data = seq.data();
         const std::size_t last = seq.size() - w;
-        for (std::size_t pos = 0; pos <= last; pos += stride) {
+        for (std::size_t pos = 0; pos <= last; ++pos) {
           const SeedKey key = model.key(data + pos);
           if (key == kInvalidSeedKey) continue;
           table.occurrences_storage_[cursor[key]++] = Occurrence{
@@ -240,6 +264,15 @@ std::size_t IndexTable::populated_keys() const {
     if (starts_[k + 1] > starts_[k]) ++n;
   }
   return n;
+}
+
+std::span<const SeedKey> IndexTable::occupied_keys() const {
+  if (is_view()) {
+    throw std::logic_error(
+        "IndexTable::occupied_keys: a from_raw_spans view records no "
+        "occupied keys");
+  }
+  return occupied_keys_;
 }
 
 std::size_t IndexTable::max_list_length() const {

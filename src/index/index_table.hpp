@@ -31,11 +31,8 @@ struct Occurrence {
 class IndexTable {
  public:
   /// Indexes every width-W word of every sequence in `bank` under `model`.
-  /// Words containing non-standard residues are skipped. A stride > 1
-  /// samples every stride-th position (not used by the pipeline; exposed
-  /// for experiments on index density).
-  IndexTable(const bio::SequenceBank& bank, const SeedModel& model,
-             std::size_t stride = 1);
+  /// Words containing non-standard residues are skipped.
+  IndexTable(const bio::SequenceBank& bank, const SeedModel& model);
 
   /// Multi-threaded construction: sequences are partitioned across
   /// workers, each counts into a private histogram, and per-key
@@ -44,8 +41,7 @@ class IndexTable {
   /// `threads == 0` uses hardware concurrency.
   static IndexTable build_parallel(const bio::SequenceBank& bank,
                                    const SeedModel& model,
-                                   std::size_t threads = 0,
-                                   std::size_t stride = 1);
+                                   std::size_t threads = 0);
 
   /// Zero-copy construction over externally owned memory (the mmap-backed
   /// store reader, store/index_store.hpp): the table becomes a *view* and
@@ -53,7 +49,9 @@ class IndexTable {
   /// table's lifetime. Validates the layout invariants -- starts[0] == 0,
   /// monotone starts, starts.back() == occurrences.size() -- and throws
   /// std::invalid_argument on violation so a corrupt file cannot produce
-  /// out-of-bounds list spans.
+  /// out-of-bounds list spans. A view records no occupied-key list (see
+  /// occupied_keys()): views are store-loaded subject tables, and the
+  /// list would grow every resident shard's memory.
   static IndexTable from_raw_spans(std::span<const std::size_t> starts,
                                    std::span<const Occurrence> occurrences);
 
@@ -98,6 +96,13 @@ class IndexTable {
   /// Number of keys with a non-empty index list.
   std::size_t populated_keys() const;
 
+  /// The keys with a non-empty index list, ascending -- the only keys a
+  /// step-2 walk over this table as T0 can score. Recorded by the
+  /// building prefix sum, so a one-protein query table lists a few
+  /// hundred keys, not the whole key space. Throws std::logic_error on a
+  /// view (from_raw_spans), which records no list.
+  std::span<const SeedKey> occupied_keys() const;
+
   /// Length of the longest index list (drives accelerator batch sizing).
   std::size_t max_list_length() const;
 
@@ -120,6 +125,7 @@ class IndexTable {
 
   std::vector<std::size_t> starts_storage_;
   std::vector<Occurrence> occurrences_storage_;
+  std::vector<SeedKey> occupied_keys_;  // owning tables only; ascending
 };
 
 }  // namespace psc::index

@@ -145,13 +145,8 @@ RascStep2Result run_rasc_step2(const bio::SequenceBank& bank0,
                                const index::IndexTable& table1,
                                const bio::SubstitutionMatrix& matrix,
                                const RascStep2Config& config) {
-  std::vector<index::SeedKey> keys;
-  keys.reserve(table0.key_space());
-  for (std::size_t k = 0; k < table0.key_space(); ++k) {
-    keys.push_back(static_cast<index::SeedKey>(k));
-  }
   return run_rasc_step2_keys(bank0, table0, bank1, table1, matrix, config,
-                             keys);
+                             table0.occupied_keys());
 }
 
 RascStep2Result run_rasc_step2_keys(const bio::SequenceBank& bank0,
@@ -160,7 +155,7 @@ RascStep2Result run_rasc_step2_keys(const bio::SequenceBank& bank0,
                                     const index::IndexTable& table1,
                                     const bio::SubstitutionMatrix& matrix,
                                     const RascStep2Config& config,
-                                    const std::vector<index::SeedKey>& keys) {
+                                    std::span<const index::SeedKey> keys) {
   if (config.shape.length() != config.psc.window_length) {
     throw std::invalid_argument(
         "run_rasc_step2: shape length != operator window length");

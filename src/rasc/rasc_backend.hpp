@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "align/hit.hpp"
@@ -79,9 +80,11 @@ struct RascStep2Result {
   OperatorStats stats;
 };
 
-/// Runs step 2 on the simulated accelerator. `table0`/`table1` must have
-/// been built with the same seed model; `bank0`/`bank1` are the banks they
-/// index.
+/// Runs step 2 on the simulated accelerator over table0's occupied keys
+/// (keys with an empty IL0 list program no PE, so the partition and the
+/// modelled time equal a walk of the whole key space). `table0`/`table1`
+/// must have been built with the same seed model; `bank0`/`bank1` are the
+/// banks they index.
 RascStep2Result run_rasc_step2(const bio::SequenceBank& bank0,
                                const index::IndexTable& table0,
                                const bio::SequenceBank& bank1,
@@ -99,6 +102,6 @@ RascStep2Result run_rasc_step2_keys(const bio::SequenceBank& bank0,
                                     const index::IndexTable& table1,
                                     const bio::SubstitutionMatrix& matrix,
                                     const RascStep2Config& config,
-                                    const std::vector<index::SeedKey>& keys);
+                                    std::span<const index::SeedKey> keys);
 
 }  // namespace psc::rasc

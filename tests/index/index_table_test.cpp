@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <utility>
+#include <vector>
+
 #include "sim/protein_generator.hpp"
 
 namespace psc::index {
@@ -57,20 +61,6 @@ TEST(IndexTable, OccurrenceCountMatchesFormula) {
   const auto bank = bank_of({"MKVLARNDCQ", "WYVH"});
   const IndexTable table(bank, SeedModel::contiguous(4));
   EXPECT_EQ(table.total_occurrences(), (10u - 3) + (4u - 3));
-}
-
-TEST(IndexTable, StrideSkipsPositions) {
-  const auto bank = bank_of({"MKVLARND"});  // 5 windows of width 4
-  const IndexTable dense(bank, SeedModel::contiguous(4), 1);
-  const IndexTable sparse(bank, SeedModel::contiguous(4), 2);
-  EXPECT_EQ(dense.total_occurrences(), 5u);
-  EXPECT_EQ(sparse.total_occurrences(), 3u);  // positions 0, 2, 4
-}
-
-TEST(IndexTable, ZeroStrideThrows) {
-  const auto bank = bank_of({"MKVLA"});
-  EXPECT_THROW(IndexTable(bank, SeedModel::contiguous(3), 0),
-               std::invalid_argument);
 }
 
 TEST(IndexTable, RepeatedWordsGroupUnderOneKey) {
@@ -137,14 +127,92 @@ TEST(IndexTableParallel, EmptyBank) {
   EXPECT_EQ(table.total_occurrences(), 0u);
 }
 
-TEST(IndexTableParallel, StrideRespected) {
-  const auto bank = bank_of({"MKVLARND"});
-  const IndexTable parallel = IndexTable::build_parallel(
-      bank, SeedModel::contiguous(4), 2, /*stride=*/2);
-  EXPECT_EQ(parallel.total_occurrences(), 3u);
-  EXPECT_THROW(
-      IndexTable::build_parallel(bank, SeedModel::contiguous(4), 2, 0),
-      std::invalid_argument);
+/// The reference the occupied-key list must equal: every key with a
+/// non-empty list, found by walking the whole key space.
+std::vector<SeedKey> dense_occupied(const IndexTable& table) {
+  std::vector<SeedKey> keys;
+  for (std::size_t k = 0; k < table.key_space(); ++k) {
+    const auto key = static_cast<SeedKey>(k);
+    if (table.list_length(key) > 0) keys.push_back(key);
+  }
+  return keys;
+}
+
+void expect_occupied_keys_exact(const bio::SequenceBank& bank,
+                                const SeedModel& model) {
+  const IndexTable serial(bank, model);
+  const std::vector<SeedKey> expected = dense_occupied(serial);
+  const auto got = serial.occupied_keys();
+  EXPECT_EQ(std::vector<SeedKey>(got.begin(), got.end()), expected);
+  EXPECT_EQ(got.size(), serial.populated_keys());
+  for (const std::size_t threads : {1u, 2u, 4u}) {
+    const IndexTable parallel = IndexTable::build_parallel(bank, model, threads);
+    const auto keys = parallel.occupied_keys();
+    EXPECT_EQ(std::vector<SeedKey>(keys.begin(), keys.end()), expected)
+        << threads << " threads";
+  }
+}
+
+TEST(IndexTableOccupiedKeys, EmptyBank) {
+  const bio::SequenceBank empty(bio::SequenceKind::kProtein);
+  expect_occupied_keys_exact(empty, SeedModel::subset_w4());
+  EXPECT_TRUE(IndexTable(empty, SeedModel::subset_w4()).occupied_keys().empty());
+}
+
+TEST(IndexTableOccupiedKeys, SequencesShorterThanWidth) {
+  const auto bank = bank_of({"MKV", "A", "", "WY"});
+  expect_occupied_keys_exact(bank, SeedModel::subset_w4());
+  EXPECT_TRUE(
+      IndexTable(bank, SeedModel::subset_w4()).occupied_keys().empty());
+}
+
+TEST(IndexTableOccupiedKeys, EveryWordContainsX) {
+  const auto bank = bank_of({"MKXLAXRNXD", "XXXX", "ACXDE"});
+  expect_occupied_keys_exact(bank, SeedModel::contiguous(3));
+  EXPECT_TRUE(
+      IndexTable(bank, SeedModel::contiguous(3)).occupied_keys().empty());
+}
+
+TEST(IndexTableOccupiedKeys, RandomBank) {
+  sim::ProteinBankConfig config;
+  config.count = 30;
+  config.mean_length = 90;
+  config.seed = 17;
+  const bio::SequenceBank bank = sim::generate_protein_bank(config);
+  expect_occupied_keys_exact(bank, SeedModel::subset_w4());
+  const IndexTable table(bank, SeedModel::subset_w4());
+  EXPECT_GT(table.occupied_keys().size(), 0u);
+  EXPECT_LT(table.occupied_keys().size(), table.key_space());
+}
+
+TEST(IndexTableOccupiedKeys, SurvivesCopyAndMove) {
+  const auto bank = bank_of({"MKVLARNDCQ", "WYVHMKVL"});
+  const IndexTable original(bank, SeedModel::contiguous(3));
+  const std::vector<SeedKey> expected = dense_occupied(original);
+  const IndexTable copy = original;
+  EXPECT_EQ(std::vector<SeedKey>(copy.occupied_keys().begin(),
+                                 copy.occupied_keys().end()),
+            expected);
+  IndexTable source = original;
+  const IndexTable moved = std::move(source);
+  EXPECT_EQ(std::vector<SeedKey>(moved.occupied_keys().begin(),
+                                 moved.occupied_keys().end()),
+            expected);
+  IndexTable assigned(bank_of({}), SeedModel::contiguous(3));
+  assigned = moved;
+  EXPECT_EQ(assigned.occupied_keys().size(), expected.size());
+}
+
+TEST(IndexTableOccupiedKeys, ViewThrows) {
+  // A from_raw_spans view must never pose as a query table with no keys.
+  const auto bank = bank_of({"MKVLA"});
+  const IndexTable owner(bank, SeedModel::contiguous(3));
+  const IndexTable view =
+      IndexTable::from_raw_spans(owner.starts(), owner.all_occurrences());
+  ASSERT_TRUE(view.is_view());
+  EXPECT_THROW(static_cast<void>(view.occupied_keys()), std::logic_error);
+  const IndexTable view_copy = view;
+  EXPECT_THROW(static_cast<void>(view_copy.occupied_keys()), std::logic_error);
 }
 
 TEST(IndexTable, CompletenessOnRandomBank) {

@@ -150,6 +150,66 @@ TEST(ShardQuery, FanOutIsBitIdenticalToUnshardedAcrossShardCounts) {
   }
 }
 
+/// The smallest shard cap whose plan splits `bank` into at most `shards`
+/// pieces (plan_shards' count only falls as the cap grows).
+std::uint64_t cap_for_shards(const bio::SequenceBank& bank,
+                             std::size_t shards) {
+  std::uint64_t lo = 1;
+  std::uint64_t hi = std::uint64_t{1} << 32;
+  while (lo < hi) {
+    const std::uint64_t mid = lo + (hi - lo) / 2;
+    if (store::plan_shards(bank, mid).size() <= shards) {
+      hi = mid;
+    } else {
+      lo = mid + 1;
+    }
+  }
+  return lo;
+}
+
+TEST(ShardQuery, OneProteinQueryIsBitIdenticalAtEveryShardCount) {
+  // A one-protein query occupies a few hundred seed keys of each shard
+  // pass; step 2 walks only those, at every shard count.
+  ShardedWorkload workload(45, "shardq_one_protein", {});
+  const index::SeedModel model = index::SeedModel::subset_w4();
+  for (const std::size_t shards : {1u, 6u, 17u}) {
+    const std::uint64_t cap =
+        shards == 1 ? 0 : cap_for_shards(workload.genome_bank, shards);
+    const std::string prefix =
+        workload.plain_prefix + "_n" + std::to_string(shards);
+    const store::ShardManifest manifest =
+        store::write_sharded_store(prefix, workload.genome_bank, model, cap);
+    workload.sharded_prefixes.push_back(prefix);
+    workload.shard_counts.push_back(manifest.shards.size());
+    ASSERT_EQ(manifest.shards.size(), shards);
+  }
+
+  core::PipelineOptions options;
+  options.with_traceback = true;
+  const auto& matrix = bio::SubstitutionMatrix::blosum62();
+  const LoadedBankSet plain =
+      load_bank_set(workload.plain_prefix, model, true);
+  for (const std::size_t q : {0u, 2u}) {
+    const bio::SequenceBank query = workload.query(q);
+    const core::PipelineResult reference =
+        run_query_over_set(query, plain, options, matrix);
+    ASSERT_FALSE(reference.matches.empty()) << "query " << q;
+    const std::vector<std::uint8_t> reference_bytes =
+        core::encode_matches(reference.matches);
+    for (std::size_t i = 0; i < workload.sharded_prefixes.size(); ++i) {
+      const LoadedBankSet set =
+          load_bank_set(workload.sharded_prefixes[i], model, true);
+      ASSERT_EQ(set.shard_count(), workload.shard_counts[i]);
+      const core::PipelineResult fanned =
+          run_query_over_set(query, set, options, matrix);
+      EXPECT_EQ(core::encode_matches(fanned.matches), reference_bytes)
+          << "query " << q << " shards=" << workload.shard_counts[i];
+      EXPECT_EQ(fanned.counters.step2_pairs, reference.counters.step2_pairs);
+      EXPECT_EQ(fanned.counters.step2_hits, reference.counters.step2_hits);
+    }
+  }
+}
+
 TEST(ShardService, ShardedBankAnswersIdenticallyThroughService) {
   const ShardedWorkload workload(41, "shardq_service", {800});
   ASSERT_GT(workload.shard_counts[0], 1u);
