@@ -102,6 +102,9 @@ OverlapOutcome run_steps23_overlapped(
   std::atomic<std::uint64_t> pairs{0};
   std::atomic<double> step2_seconds{0.0};
   std::vector<std::vector<ExtendedHit>> extended(workers);
+  // No occupied key (a query shorter than W, or all words holding an X)
+  // leaves no chunk whose completion closes the stream: close it now.
+  if (chunks.empty()) channel.close();
 
   const double total_bank1_residues =
       options.search_space_residues > 0.0

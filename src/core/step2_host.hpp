@@ -62,12 +62,11 @@ HostStep2Result run_step2_host(
     int threshold,
     align::UngappedKernel kernel = align::UngappedKernel::kAuto);
 
-/// Parallel engine on the shared work-stealing executor; `threads == 0`
-/// uses hardware concurrency (the TaskGroup caps occupancy at `threads`
-/// even when the executor is wider). Hit order is normalized (sorted)
-/// so results are deterministic regardless of scheduling. `executor`
-/// nullptr = util::Executor::shared(). The same walk as run_step2_host_keys
-/// over table0.occupied_keys().
+/// Parallel engine: run_step2_host_keys over table0.occupied_keys().
+/// `threads == 0` uses hardware concurrency (the TaskGroup caps occupancy
+/// at `threads` even when the executor is wider). Hit order is normalized
+/// (sorted) so results are deterministic regardless of scheduling.
+/// `executor` nullptr = util::Executor::shared().
 HostStep2Result run_step2_host_parallel(
     const bio::SequenceBank& bank0, const index::IndexTable& table0,
     const bio::SequenceBank& bank1, const index::IndexTable& table1,
@@ -78,9 +77,8 @@ HostStep2Result run_step2_host_parallel(
     util::Executor* executor = nullptr);
 
 /// Processes only the given seed keys, chunked across `threads` workers
-/// by `schedule`; hit order is normalized. The parallel engine runs it
-/// over the query's occupied keys, the host/FPGA dispatch extension over
-/// its share of them.
+/// by `schedule`; hit order is normalized. The host/FPGA dispatch
+/// extension runs it over its share of the occupied keys.
 HostStep2Result run_step2_host_keys(
     const bio::SequenceBank& bank0, const index::IndexTable& table0,
     const bio::SequenceBank& bank1, const index::IndexTable& table1,

@@ -8,6 +8,31 @@
 
 namespace psc::index {
 
+namespace {
+
+/// Records the occupied keys in a builder's prefix sum, which already
+/// visits every key, without a branch: each key is written to the next
+/// free slot and only an occupied one advances it. `bound` is at least
+/// the number of occupied keys; one spare slot takes the last write.
+class OccupiedKeyRecorder {
+ public:
+  explicit OccupiedKeyRecorder(std::size_t bound) : slots_(bound + 1) {}
+  void visit(std::size_t key, bool occupied) {
+    slots_[count_] = static_cast<SeedKey>(key);
+    count_ += occupied;
+  }
+  /// The recorded keys, ascending, in a vector sized to exactly them.
+  std::vector<SeedKey> keys() const {
+    return {slots_.data(), slots_.data() + count_};
+  }
+
+ private:
+  std::vector<SeedKey> slots_;
+  std::size_t count_ = 0;
+};
+
+}  // namespace
+
 void IndexTable::adopt_storage() {
   starts_ = starts_storage_;
   occurrences_ = occurrences_storage_;
@@ -141,25 +166,18 @@ IndexTable::IndexTable(const bio::SequenceBank& bank, const SeedModel& model) {
       ++words;
     }
   }
-  // Inclusive prefix sum: starts[k] becomes the end of key k's list. The
-  // sum already visits every key, so it also records the occupied ones
-  // and step 2 never walks the key space again. It does so without a
-  // branch: every key is written to the next free slot and only an
-  // occupied one advances it. No more keys can be occupied than words
-  // were indexed, so the slots cannot overflow.
-  occupied_keys_.resize(std::min(keys, words) + 1);
-  SeedKey* occupied = occupied_keys_.data();
-  std::size_t n = 0;
+  // Inclusive prefix sum: starts[k] becomes the end of key k's list. No
+  // more keys can be occupied than words were indexed.
+  OccupiedKeyRecorder occupied(std::min(keys, words));
   std::size_t running = 0;
   for (std::size_t k = 0; k < keys; ++k) {
     const std::size_t count = starts[k];
-    occupied[n] = static_cast<SeedKey>(k);
-    n += count != 0;
+    occupied.visit(k, count != 0);
     running += count;
     starts[k] = running;
   }
   starts[keys] = running;
-  occupied_keys_.resize(n);
+  occupied_keys_ = occupied.keys();
 
   // Pass 2: place occurrences back to front. Each key's end offset counts
   // down to its begin offset, and walking the bank in reverse keeps every
@@ -220,19 +238,18 @@ IndexTable IndexTable::build_parallel(const bio::SequenceBank& bank,
   // recording the occupied keys on the way as the serial build does.
   std::vector<std::vector<std::size_t>> cursors(
       chunks.size(), std::vector<std::size_t>(keys, 0));
+  OccupiedKeyRecorder occupied(keys);
   std::size_t running = 0;
   for (std::size_t k = 0; k < keys; ++k) {
-    const std::size_t begin = running;
-    table.starts_storage_[k] = begin;
+    table.starts_storage_[k] = running;
     for (std::size_t c = 0; c < chunks.size(); ++c) {
       cursors[c][k] = running;
       running += counts[c][k];
     }
-    if (running != begin) {
-      table.occupied_keys_.push_back(static_cast<SeedKey>(k));
-    }
+    occupied.visit(k, running != table.starts_storage_[k]);
   }
   table.starts_storage_[keys] = running;
+  table.occupied_keys_ = occupied.keys();
   table.occurrences_storage_.resize(running);
 
   // Pass 2: parallel placement through the per-chunk cursors.
@@ -256,14 +273,6 @@ IndexTable IndexTable::build_parallel(const bio::SequenceBank& bank,
   group.wait();
   table.adopt_storage();
   return table;
-}
-
-std::size_t IndexTable::populated_keys() const {
-  std::size_t n = 0;
-  for (std::size_t k = 0; k + 1 < starts_.size(); ++k) {
-    if (starts_[k + 1] > starts_[k]) ++n;
-  }
-  return n;
 }
 
 std::span<const SeedKey> IndexTable::occupied_keys() const {

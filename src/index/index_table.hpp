@@ -93,9 +93,6 @@ class IndexTable {
     return starts_[key + 1] - starts_[key];
   }
 
-  /// Number of keys with a non-empty index list.
-  std::size_t populated_keys() const;
-
   /// The keys with a non-empty index list, ascending -- the only keys a
   /// step-2 walk over this table as T0 can score. Recorded by the
   /// building prefix sum, so a one-protein query table lists a few

@@ -81,10 +81,9 @@ struct RascStep2Result {
 };
 
 /// Runs step 2 on the simulated accelerator over table0's occupied keys
-/// (keys with an empty IL0 list program no PE, so the partition and the
-/// modelled time equal a walk of the whole key space). `table0`/`table1`
-/// must have been built with the same seed model; `bank0`/`bank1` are the
-/// banks they index.
+/// (an empty IL0 list programs no PE, so partition and modelled time equal
+/// a whole-key-space walk). `table0`/`table1` must share a seed model;
+/// `bank0`/`bank1` are the banks they index.
 RascStep2Result run_rasc_step2(const bio::SequenceBank& bank0,
                                const index::IndexTable& table0,
                                const bio::SequenceBank& bank1,

@@ -509,5 +509,72 @@ TEST(OccupiedKeyWalk, EveryWalkerMatchesDenseReference) {
   }
 }
 
+TEST(OccupiedKeyWalk, QueryWithNoOccupiedKeyFinishesEmptyEverywhere) {
+  // A query shorter than W, and one whose every word holds an X, index
+  // no word: the occupied-key list is empty, and every walker must come
+  // back with nothing rather than wait for a key that never comes.
+  util::Xoshiro256 rng(32);
+  bio::SequenceBank bank1(bio::SequenceKind::kProtein);
+  for (int i = 0; i < 20; ++i) {
+    bank1.add(sim::generate_protein("t" + std::to_string(i), 120, rng));
+  }
+  const index::SeedModel model = index::SeedModel::subset_w4();
+  const index::IndexTable t1(bank1, model);
+  const auto& m = bio::SubstitutionMatrix::blosum62();
+  PipelineOptions options;
+  const index::WindowShape& shape = options.shape;
+  const int threshold = options.ungapped_threshold;
+  rasc::RascStep2Config rasc_config;
+  rasc_config.psc.num_pes = 32;
+  rasc_config.psc.window_length = shape.length();
+  rasc_config.psc.threshold = threshold;
+  rasc_config.shape = shape;
+  rasc_config.num_fpgas = 2;
+
+  for (const char* letters : {"MKV", "MKXLAXKVXW"}) {
+    bio::SequenceBank bank0(bio::SequenceKind::kProtein);
+    bank0.add(bio::Sequence::protein_from_letters("q", letters));
+    const index::IndexTable t0(bank0, model);
+    ASSERT_TRUE(t0.occupied_keys().empty()) << letters;
+
+    const HostStep2Result seq =
+        run_step2_host(bank0, t0, bank1, t1, m, shape, threshold);
+    EXPECT_TRUE(seq.hits.empty()) << letters;
+    EXPECT_EQ(seq.pairs, 0u) << letters;
+    for (const Step2Schedule schedule :
+         {Step2Schedule::kStatic, Step2Schedule::kCostAware}) {
+      const std::string name =
+          std::string(letters) + " " + step2_schedule_name(schedule);
+      const HostStep2Result par = run_step2_host_parallel(
+          bank0, t0, bank1, t1, m, shape, threshold, 3,
+          align::UngappedKernel::kAuto, schedule);
+      EXPECT_TRUE(par.hits.empty()) << name;
+      EXPECT_EQ(par.pairs, 0u) << name;
+      options.step2_schedule = schedule;
+      const OverlapOutcome outcome =
+          run_steps23_overlapped(bank0, t0, bank1, t1, m, options, 3);
+      EXPECT_EQ(outcome.hits, 0u) << name;
+      EXPECT_EQ(outcome.pairs, 0u) << name;
+      EXPECT_TRUE(outcome.matches.empty()) << name;
+    }
+    for (const double fraction : {0.0, 0.5, 1.0}) {
+      DispatchConfig config;
+      config.host_fraction = fraction;
+      config.host_threads = 2;
+      config.shape = shape;
+      config.threshold = threshold;
+      config.rasc = rasc_config;
+      const DispatchResult result =
+          run_step2_dispatch(bank0, t0, bank1, t1, m, config);
+      EXPECT_TRUE(result.hits.empty()) << letters << " " << fraction;
+      EXPECT_EQ(result.pairs, 0u) << letters << " " << fraction;
+    }
+    const rasc::RascStep2Result accel =
+        rasc::run_rasc_step2(bank0, t0, bank1, t1, m, rasc_config);
+    EXPECT_TRUE(accel.hits.empty()) << letters;
+    EXPECT_EQ(accel.stats.comparisons, 0u) << letters;
+  }
+}
+
 }  // namespace
 }  // namespace psc::core

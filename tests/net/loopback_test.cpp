@@ -210,6 +210,17 @@ TEST_F(LoopbackTest, SearchIsBitIdenticalToInProcessPipeline) {
             core::encode_matches(direct.matches));
 }
 
+TEST_F(LoopbackTest, QueryIndexingNoWordGetsAnEmptyReply) {
+  // A remote query too short to hold a seed word must come back empty,
+  // not wedge the service's worker for every later client.
+  const SavedBank saved(23, "net_no_words");
+  start();
+  Client client = connect();
+  EXPECT_TRUE(client.search(saved.name, ">q\nMKV\n").matches.empty());
+  EXPECT_TRUE(client.search(saved.name, ">q\nXXXXXXXX\n").matches.empty());
+  EXPECT_FALSE(client.search(saved.name, saved.fasta()).matches.empty());
+}
+
 TEST_F(LoopbackTest, PingAndStatsRoundTrip) {
   const SavedBank saved(22, "net_pingstats");
   start();

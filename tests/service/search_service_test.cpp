@@ -204,6 +204,25 @@ TEST(SearchService, MissingBankFailsThatQueryOnly) {
   EXPECT_EQ(stats.queries_completed, 1u);
 }
 
+TEST(SearchService, QueriesIndexingNoWordAreAnsweredEmpty) {
+  // Shorter than W, and every word holding an X: no seed key is
+  // occupied, and the default host-parallel overlapped pass must still
+  // answer -- and leave the worker free for the next query.
+  const SavedBank saved(11, "svc_no_words");
+  SearchService service;
+  for (const char* letters : {"MKV", "MKXLAXKVXW"}) {
+    bio::SequenceBank query(bio::SequenceKind::kProtein);
+    query.add(bio::Sequence::protein_from_letters("q", letters));
+    const QueryResult reply = service.submit(query, saved.prefix).get();
+    EXPECT_TRUE(reply.matches.empty()) << letters;
+  }
+  const QueryResult good = service.submit(saved.query(0), saved.prefix).get();
+  EXPECT_FALSE(good.matches.empty());
+  const ServiceStats stats = service.snapshot();
+  EXPECT_EQ(stats.queries_completed, 3u);
+  EXPECT_EQ(stats.queries_failed, 0u);
+}
+
 TEST(SearchService, RejectsNonProteinQueries) {
   SearchService service;
   bio::SequenceBank dna(bio::SequenceKind::kDna);
